@@ -3,18 +3,17 @@
 from .channel import (ChannelSample, LinkBudget, downlink_budget, downlink_sinr,
                       draw_fading, path_loss, sample_channel, spectral_efficiency,
                       uplink_joint_snr)
-from .controller import (CoopGroup, Direction, PreGroupCache, backhaul_messages,
-                         end_service, form_group, group_rate, nearest_awake,
-                         predict_mobility, start_service, transition,
-                         transition_many, unify_ul_dl)
+from .controller import (CoopGroup, Direction, form_group, group_rate,
+                         nearest_awake, start_service, transition,
+                         transition_many)
 from .errors import (BusyBs, CelllessError, ConfigError, DomainError, EmptyGroup,
-                     IllegalTransition, InfeasibleConfig, IoFailure, MtMismatch,
-                     NoBsAvailable, PlacementFailure, WrongDirection)
+                     IllegalTransition, InfeasibleConfig, IoFailure,
+                     NoBsAvailable, PlacementFailure)
 from .experiments import (BsEnergyCurve, CoverageCurve, MtEnergyCurve,
-                          bs_energy_trial, coverage_instance, coverage_trial,
-                          mt_energy_trial, oracle_min_group, oracle_power_solve,
-                          run_bs_energy, run_coverage, run_mt_energy,
-                          run_validation)
+                          bs_energy_ledger, bs_energy_trial, coverage_instance,
+                          coverage_trial, mt_energy_trial, oracle_min_group,
+                          oracle_power_solve, run_bs_energy, run_coverage,
+                          run_mt_energy, run_validation)
 from .report import (ExperimentReport, config_hash, emit_csv, emit_json,
                      parse_csv, render_csv, summarize, to_dict)
 from .scenario import (BsPowerState, Deployment, RandomStream, ScenarioConfig,

@@ -84,7 +84,8 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="report format (default: csv)")
     sub.add_argument("--workers", type=int, default=1,
-                     help="parallel trial workers; never changes any emitted number")
+                     help="parallel trial processes for coverage and mt-energy, "
+                          "at most one per CPU; never changes any emitted number")
     _add_config_flags(sub)
 
 
@@ -114,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cooperative group sizes (default: 2,3,4)")
     bse.add_argument("--n_users", type=int, default=10,
                      help="terminals served per trial (default: 10)")
-    bse.add_argument("--event-log", dest="event_log", default=None,
-                     help="write one line per grouping decision (workers=1 only)")
     _add_common(bse)
 
     mte = sub.add_parser("mt-energy",
@@ -155,7 +154,7 @@ def _emit(report, args) -> None:
 
 def _dispatch(args, cfg) -> int:
     if args.command == "validate":
-        rows = run_validation(cfg, workers=args.workers)
+        rows = run_validation(cfg)
         for name, passed, detail in rows:
             print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
         return 0 if all(passed for _, passed, _ in rows) else 1
@@ -172,7 +171,7 @@ def _dispatch(args, cfg) -> int:
             payload = run_bs_energy(
                 cfg, sleeping_counts=args.sleeping_counts,
                 group_sizes=args.group_sizes or DEFAULT_BS_GROUP_SIZES,
-                n_users=args.n_users, workers=args.workers, event_log=event_fh)
+                n_users=args.n_users)
         elif args.command == "mt-energy":
             payload = run_mt_energy(
                 cfg, group_sizes=args.group_sizes or DEFAULT_MT_GROUP_SIZES,
@@ -191,6 +190,8 @@ def _dispatch(args, cfg) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError("--workers must be at least 1")
         cfg = load_config(args.config, _collect_overrides(args))
         return _dispatch(args, cfg)
     except (ConfigError, InfeasibleConfig) as exc:

@@ -1,22 +1,18 @@
 """Centralized grouping decisions, mirroring an SDN controller.
 
-Covers the BS power-state machine, cooperative-group formation over idle
-candidates, uplink/downlink group unification, the pre-grouping cache, and
-backhaul-message accounting. The controller is a single logical decision
-point: deployments and the cache are only mutated between trials, and
-concurrent trials each use their own cache instance.
+Covers the BS power-state machine and cooperative-group formation over idle
+candidates. The controller is a single logical decision point: every
+decision returns a new immutable deployment, so concurrent trials share no
+state.
 """
 
-import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .channel import ChannelSample, downlink_sinr, spectral_efficiency, uplink_joint_snr
-from .errors import (BusyBs, DomainError, EmptyGroup, IllegalTransition,
-                     MtMismatch, NoBsAvailable, WrongDirection)
+from .errors import BusyBs, DomainError, EmptyGroup, IllegalTransition, NoBsAvailable
 from .scenario import BsPowerState, Deployment, ScenarioConfig, nearest_candidates
 
 
@@ -64,47 +60,6 @@ class CoopGroup:
             raise ValueError("duplicate group members")
 
 
-class PreGroupCache:
-    """Memo of recent grouping decisions keyed by quantized terminal position.
-
-    Entries evict in least-recently-stored order once ``capacity`` is
-    exceeded. A hit is reusable only when every remembered member is an idle
-    candidate for the new request; ``form_group`` additionally re-verifies
-    the demand at probe time, so a hit can never return a sleeping BS or an
-    understrength group.
-    """
-
-    def __init__(self, cell_size_m: float = 2.0, capacity: int = 1024):
-        if not cell_size_m > 0:
-            raise ValueError("cell_size_m must be positive")
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.cell_size_m = cell_size_m
-        self.capacity = capacity
-        self._entries = OrderedDict()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def cell_of(self, position) -> tuple:
-        return (int(math.floor(float(position[0]) / self.cell_size_m)),
-                int(math.floor(float(position[1]) / self.cell_size_m)))
-
-    def lookup(self, position, idle_ids) -> CoopGroup | None:
-        """Cached decision for this cell, if its members are all idle candidates."""
-        group = self._entries.get(self.cell_of(position))
-        if group is None or not set(group.member_bs) <= set(idle_ids):
-            return None
-        return group
-
-    def store(self, position, group: CoopGroup) -> None:
-        key = self.cell_of(position)
-        self._entries[key] = group
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-
 def transition(dep: Deployment, bs: int, new_state: BsPowerState) -> Deployment:
     """Apply one legal power-state step to a BS, returning the new deployment.
 
@@ -112,13 +67,7 @@ def transition(dep: Deployment, bs: int, new_state: BsPowerState) -> Deployment:
     transferring) plus ready->sleeping. A loaded BS cannot change state at
     all: unload it first.
     """
-    current = dep.bs_states[bs]
-    if dep.bs_load[bs] > 0:
-        # loaded implies transferring; any step would abandon its terminal
-        raise BusyBs(f"BS {bs} still serves {dep.bs_load[bs]} terminal(s)")
-    if (current, new_state) not in _LEGAL_TRANSITIONS:
-        raise IllegalTransition(f"{current.value} -> {new_state.value}")
-    return dep.with_bs_state(bs, new_state)
+    return transition_many(dep, [bs], new_state)
 
 
 def transition_many(dep: Deployment, bs_ids, new_state: BsPowerState) -> Deployment:
@@ -127,6 +76,7 @@ def transition_many(dep: Deployment, bs_ids, new_state: BsPowerState) -> Deploym
     for bs in bs_ids:
         bs = int(bs)
         if dep.bs_load[bs] > 0:
+            # loaded implies transferring; any step would abandon its terminal
             raise BusyBs(f"BS {bs} still serves {dep.bs_load[bs]} terminal(s)")
         if (states[bs], new_state) not in _LEGAL_TRANSITIONS:
             raise IllegalTransition(f"{states[bs].value} -> {new_state.value}")
@@ -150,17 +100,6 @@ def start_service(dep: Deployment, group: CoopGroup) -> Deployment:
     return Deployment(dep.bs_positions, dep.mt_positions, tuple(states), tuple(loads))
 
 
-def end_service(dep: Deployment, group: CoopGroup) -> Deployment:
-    """Release the group's terminal; members left idle turn back to ready."""
-    for bs in group.member_bs:
-        if dep.bs_states[bs] is not BsPowerState.TRANSFERRING or dep.bs_load[bs] < 1:
-            raise ValueError(f"BS {bs} is not serving anyone")
-        dep = dep.with_bs_load(bs, dep.bs_load[bs] - 1)
-        if dep.bs_load[bs] == 0:
-            dep = transition(dep, bs, BsPowerState.READY)
-    return dep
-
-
 def group_rate(members, direction: Direction, mt_index: int, dep: Deployment,
                ch: ChannelSample, cfg: ScenarioConfig) -> float:
     """Spectral efficiency a member set delivers to one terminal."""
@@ -168,15 +107,6 @@ def group_rate(members, direction: Direction, mt_index: int, dep: Deployment,
         return spectral_efficiency(downlink_sinr(mt_index, members, dep, ch, cfg))
     return spectral_efficiency(
         uplink_joint_snr(cfg.mt_tx_power_mw, members, dep, ch, cfg, mt_index=mt_index))
-
-
-def predict_mobility(dep: Deployment, mt_index: int):
-    """Forecast of nearby-terminal activity, used to bias group sizing.
-
-    No predictor is implemented; ``None`` means "no adjustment". This is the
-    extension point for mobility-aware grouping.
-    """
-    return None
 
 
 def nearest_awake(dep: Deployment, mt_index: int) -> int:
@@ -188,7 +118,6 @@ def nearest_awake(dep: Deployment, mt_index: int) -> int:
 
 def form_group(mt_index: int, demand_rate: float, direction: Direction,
                dep: Deployment, ch: ChannelSample, cfg: ScenarioConfig,
-               cache: PreGroupCache | None = None,
                share_busy: bool = False) -> CoopGroup:
     """Pick the serving group for one terminal.
 
@@ -197,9 +126,7 @@ def form_group(mt_index: int, demand_rate: float, direction: Direction,
     demanded rate is met or the size cap is hit; the group stays as small
     as the demand allows. ``math.inf`` fills the group to the cap. When no
     candidate is idle, the nearest awake BS serves best-effort regardless
-    of its load. A cached decision for the terminal's grid cell is reused
-    verbatim when its members are still eligible candidates and still meet
-    the demand.
+    of its load.
 
     With ``share_busy`` the congestion exception applies: transferring
     candidates may also be enlisted (a BS may serve more than one terminal),
@@ -215,26 +142,11 @@ def form_group(mt_index: int, demand_rate: float, direction: Direction,
     else:
         eligible = [b for b in candidates
                     if dep.bs_states[b] in IDLE_STATES and dep.bs_load[b] == 0]
-    predict_mobility(dep, mt_index)  # no-op hook, reserved for group sizing
-    position = dep.mt_positions[mt_index]
 
     if not eligible:
         fallback = nearest_awake(dep, mt_index)
         rate = group_rate([fallback], direction, mt_index, dep, ch, cfg)
-        group = CoopGroup((fallback,), direction, mt_index, demand_rate, rate, True)
-        if cache is not None:
-            cache.store(position, group)
-        return group
-
-    if cache is not None:
-        cached = cache.lookup(position, eligible)
-        if cached is not None:
-            rate = group_rate(cached.member_bs, direction, mt_index, dep, ch, cfg)
-            if rate >= demand_rate:
-                group = CoopGroup(cached.member_bs, direction, mt_index,
-                                  demand_rate, rate, False)
-                cache.store(position, group)
-                return group
+        return CoopGroup((fallback,), direction, mt_index, demand_rate, rate, True)
 
     gains = ch.gains[:, mt_index]
     members = []
@@ -244,34 +156,5 @@ def form_group(mt_index: int, demand_rate: float, direction: Direction,
         rate = group_rate(members, direction, mt_index, dep, ch, cfg)
         if rate >= demand_rate or len(members) == cfg.max_group_size:
             break
-    group = CoopGroup(tuple(members), direction, mt_index, demand_rate,
-                      rate, rate < demand_rate)
-    if cache is not None:
-        cache.store(position, group)
-    return group
-
-
-def unify_ul_dl(ul_group: CoopGroup, dl_group: CoopGroup, dep: Deployment,
-                ch: ChannelSample, cfg: ScenarioConfig) -> tuple:
-    """Adopt the downlink member set for the uplink when it still meets the
-    uplink demand; otherwise keep both groups unchanged."""
-    if ul_group.direction is not Direction.UPLINK or dl_group.direction is not Direction.DOWNLINK:
-        raise WrongDirection("expected an (uplink, downlink) group pair")
-    if ul_group.served_mt != dl_group.served_mt:
-        raise MtMismatch("groups serve different terminals")
-    if ul_group.member_bs == dl_group.member_bs:
-        return ul_group, dl_group
-    rate = group_rate(dl_group.member_bs, Direction.UPLINK, ul_group.served_mt,
-                      dep, ch, cfg)
-    if rate < ul_group.demand_rate:
-        return ul_group, dl_group
-    unified = CoopGroup(dl_group.member_bs, Direction.UPLINK, ul_group.served_mt,
-                        ul_group.demand_rate, rate, False)
-    return unified, dl_group
-
-
-def backhaul_messages(group: CoopGroup, multicast_enabled: bool) -> int:
-    """Backhaul deliveries needed to feed one downlink payload to the group."""
-    if group.direction is not Direction.DOWNLINK:
-        raise WrongDirection("backhaul accounting applies to downlink groups")
-    return 1 if multicast_enabled else len(group.member_bs)
+    return CoopGroup(tuple(members), direction, mt_index, demand_rate,
+                     rate, rate < demand_rate)

@@ -25,20 +25,12 @@ class NoBsAvailable(CelllessError):
     """Every base station is sleeping; nothing can serve the terminal."""
 
 
-class MtMismatch(CelllessError):
-    """Uplink and downlink groups serve different terminals."""
-
-
 class IllegalTransition(CelllessError):
     """Requested power-state change is not a legal adjacent step."""
 
 
 class BusyBs(CelllessError):
     """A loaded base station cannot change state before unloading."""
-
-
-class WrongDirection(CelllessError):
-    """Operation applies only to groups of the other link direction."""
 
 
 class InfeasibleConfig(CelllessError):

@@ -7,7 +7,7 @@ numbers bit for bit.
 """
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -245,16 +245,6 @@ class Deployment:
         """Euclidean distance from every BS to one terminal."""
         delta = self.bs_positions - self.mt_positions[mt_index]
         return np.hypot(delta[:, 0], delta[:, 1])
-
-    def with_bs_state(self, bs: int, state: BsPowerState) -> "Deployment":
-        states = list(self.bs_states)
-        states[bs] = state
-        return replace(self, bs_states=tuple(states))
-
-    def with_bs_load(self, bs: int, load: int) -> "Deployment":
-        loads = list(self.bs_load)
-        loads[bs] = load
-        return replace(self, bs_load=tuple(loads))
 
 
 def generate_deployment(cfg: ScenarioConfig, stream: RandomStream, n_mt: int = 1) -> Deployment:

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from cellless import (BsPowerState, BusyBs, CoopGroup, Direction, DomainError,
-                      EmptyGroup, IllegalTransition, MtMismatch, NoBsAvailable,
-                      PreGroupCache, RandomStream, WrongDirection,
-                      backhaul_messages, end_service, form_group,
-                      generate_deployment, group_rate, nearest_awake,
-                      nearest_candidates, oracle_min_group, predict_mobility,
-                      sample_channel, start_service, transition, transition_many,
-                      unify_ul_dl)
+                      EmptyGroup, IllegalTransition, NoBsAvailable, RandomStream,
+                      form_group, generate_deployment, group_rate, nearest_awake,
+                      nearest_candidates, oracle_min_group, sample_channel,
+                      start_service, transition, transition_many)
 from conftest import line_deployment, make_channel
 
 SLEEP = BsPowerState.SLEEPING
@@ -24,9 +21,8 @@ LEGAL = {
 }
 
 
-def _group(members, direction=Direction.DOWNLINK, mt=0, demand=1.0,
-           rate=5.0, best_effort=False):
-    return CoopGroup(tuple(members), direction, mt, demand, rate, best_effort)
+def _group(members):
+    return CoopGroup(tuple(members), Direction.DOWNLINK, 0, 1.0, 5.0, False)
 
 
 class TestStateMachine:
@@ -78,17 +74,6 @@ class TestServiceLifecycle:
         dep = line_deployment([2.0], states=(BUSY,), loads=(1,))
         out = start_service(dep, _group([0]))
         assert out.bs_load == (2,)
-
-    def test_end_service_returns_to_ready(self):
-        dep = line_deployment([2.0, 3.0], states=(BUSY, BUSY), loads=(1, 2))
-        out = end_service(dep, _group([0, 1]))
-        assert out.bs_states == (READY, BUSY)
-        assert out.bs_load == (0, 1)
-
-    def test_end_service_requires_active_member(self):
-        dep = line_deployment([2.0])
-        with pytest.raises(ValueError):
-            end_service(dep, _group([0]))
 
 
 class TestFormGroup:
@@ -186,124 +171,6 @@ class TestFormGroup:
         one_bs = type(cfg)(n_bs=1, n_busy_bs=0, n_candidates=1, max_group_size=1)
         with pytest.raises(DomainError):
             form_group(0, -1.0, Direction.DOWNLINK, dep, ch, one_bs)
-
-    def test_mobility_hook_is_a_no_op(self):
-        dep = line_deployment([2.0])
-        assert predict_mobility(dep, 0) is None
-
-
-class TestPreGroupCache:
-    def _dep(self):
-        return line_deployment([2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
-
-    def test_hit_reuses_members_verbatim(self, cfg):
-        cache = PreGroupCache()
-        dep = self._dep()
-        first = make_channel([1e-3, 1e-4] + [1e-5] * 8)
-        group1 = form_group(0, 1.0, Direction.DOWNLINK, dep, first, cfg, cache=cache)
-        assert group1.member_bs == (0,)
-        # the channel now favors BS 1, but the cached choice still meets demand
-        second = make_channel([1e-4, 1e-2] + [1e-5] * 8)
-        cached = form_group(0, 1.0, Direction.DOWNLINK, dep, second, cfg, cache=cache)
-        fresh = form_group(0, 1.0, Direction.DOWNLINK, dep, second, cfg)
-        assert cached.member_bs == (0,)
-        assert fresh.member_bs == (1,)
-
-    def test_hit_reverifies_demand(self, cfg):
-        cache = PreGroupCache()
-        dep = self._dep()
-        first = make_channel([1e-3, 1e-4] + [1e-5] * 8)
-        form_group(0, 1.0, Direction.DOWNLINK, dep, first, cfg, cache=cache)
-        second = make_channel([1e-4, 1e-2] + [1e-5] * 8)
-        # cached single BS tops out near 17.6 bit/s/Hz here; ask for more
-        group = form_group(0, 20.0, Direction.DOWNLINK, dep, second, cfg, cache=cache)
-        assert group.member_bs[0] == 1
-        assert group.achieved_rate >= 20.0
-
-    def test_no_longer_idle_member_blocks_reuse(self, cfg):
-        cache = PreGroupCache()
-        dep = self._dep()
-        ch = make_channel([1e-3, 1e-4] + [1e-5] * 8)
-        form_group(0, 1.0, Direction.DOWNLINK, dep, ch, cfg, cache=cache)
-        slept = transition_many(transition_many(dep, [0], LISTEN), [0], SLEEP)
-        group = form_group(0, 1.0, Direction.DOWNLINK, slept, ch, cfg, cache=cache)
-        assert 0 not in group.member_bs
-
-    def test_lru_eviction_by_insertion(self):
-        cache = PreGroupCache(cell_size_m=2.0, capacity=2)
-        for i, x in enumerate((1.0, 7.0, 13.0)):
-            cache.store((x, 1.0), _group([i]))
-        assert len(cache) == 2
-        assert cache.lookup((1.0, 1.0), {0, 1, 2}) is None
-        assert cache.lookup((7.0, 1.0), {0, 1, 2}).member_bs == (1,)
-
-    def test_positions_share_grid_cells(self):
-        cache = PreGroupCache(cell_size_m=2.0)
-        cache.store((1.2, 1.3), _group([4]))
-        assert cache.lookup((0.3, 1.9), {4}).member_bs == (4,)
-        assert cache.lookup((2.3, 1.9), {4}) is None
-
-
-class TestUnifyUlDl:
-    def _context(self, cfg):
-        dep = line_deployment([2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
-        ch = make_channel([1e-3, 9e-4, 8e-4, 7e-4, 6e-4, 5e-4, 4e-4, 3e-4, 2e-4, 1e-4])
-        return dep, ch
-
-    def test_identical_groups_unchanged(self, cfg):
-        dep, ch = self._context(cfg)
-        ul = _group([0, 1], Direction.UPLINK, demand=2.0)
-        dl = _group([0, 1], Direction.DOWNLINK, demand=2.0)
-        assert unify_ul_dl(ul, dl, dep, ch, cfg) == (ul, dl)
-
-    def test_stronger_downlink_group_adopted(self, cfg):
-        dep, ch = self._context(cfg)
-        ul = _group([9], Direction.UPLINK, demand=2.0)
-        dl = _group([0, 1, 2], Direction.DOWNLINK, demand=2.0)
-        new_ul, new_dl = unify_ul_dl(ul, dl, dep, ch, cfg)
-        assert new_ul.member_bs == dl.member_bs
-        assert new_ul.direction is Direction.UPLINK
-        assert not new_ul.best_effort
-        assert new_dl == dl
-
-    def test_weak_downlink_group_rejected(self, cfg):
-        dep = line_deployment([2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
-        # uplink fading drew much weaker gains for the downlink's picks
-        ul_ch = make_channel([1e-9, 1e-9, 1e-9] + [1e-3] * 7)
-        ul = _group([3, 4], Direction.UPLINK, demand=10.0)
-        dl = _group([0, 1, 2], Direction.DOWNLINK, demand=2.0)
-        new_ul, new_dl = unify_ul_dl(ul, dl, dep, ul_ch, cfg)
-        assert new_ul == ul and new_dl == dl
-
-    def test_terminal_mismatch_rejected(self, cfg):
-        dep, ch = self._context(cfg)
-        ul = _group([0], Direction.UPLINK, mt=0)
-        dl = _group([0], Direction.DOWNLINK, mt=1)
-        with pytest.raises(MtMismatch):
-            unify_ul_dl(ul, dl, dep, ch, cfg)
-
-    def test_swapped_directions_rejected(self, cfg):
-        dep, ch = self._context(cfg)
-        ul = _group([0], Direction.UPLINK)
-        dl = _group([0], Direction.DOWNLINK)
-        with pytest.raises(WrongDirection):
-            unify_ul_dl(dl, ul, dep, ch, cfg)
-
-
-class TestBackhaul:
-    def test_multicast_single_message(self):
-        assert backhaul_messages(_group([1, 2, 3]), True) == 1
-
-    def test_unicast_per_member(self):
-        assert backhaul_messages(_group([1, 2, 3]), False) == 3
-
-    def test_single_member_modes_coincide(self):
-        assert backhaul_messages(_group([4]), True) == 1
-        assert backhaul_messages(_group([4]), False) == 1
-
-    def test_uplink_group_rejected(self):
-        with pytest.raises(WrongDirection):
-            backhaul_messages(_group([1], Direction.UPLINK), True)
 
 
 class TestCoopGroupType:

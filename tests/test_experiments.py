@@ -1,12 +1,13 @@
 import math
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cellless import (BsEnergyCurve, BsPowerState, CoverageCurve, Direction,
-                      InfeasibleConfig, MtEnergyCurve, RandomStream,
-                      downlink_sinr, form_group, mt_energy_trial,
+                      InfeasibleConfig, MtEnergyCurve, bs_energy_ledger,
+                      experiments, form_group, mt_energy_trial,
                       nearest_candidates, oracle_min_group, oracle_power_solve,
                       run_bs_energy, run_coverage, run_mt_energy, run_validation,
                       spectral_efficiency, uplink_joint_snr)
@@ -62,7 +63,7 @@ class TestCoverage:
         lines = path.read_text().splitlines()
         assert len(lines) == 25
         assert lines[0].startswith("trial=0 mt=0 members=")
-        assert "best_effort=" in lines[0] and "messages=1" in lines[0]
+        assert lines[0].endswith(" best_effort=true")
 
     def test_event_log_needs_single_worker(self, cfg):
         import io
@@ -100,7 +101,19 @@ class TestBsEnergy:
 
     def test_means_have_zero_spread(self, cfg):
         curve = run_bs_energy(replace(cfg, n_trials=10))
-        assert max(max(curve.ci95[k]) for k in curve.group_sizes) < 1e-15
+        assert max(max(curve.ci95[k]) for k in curve.group_sizes) == 0.0
+
+    @pytest.mark.parametrize("powers", [
+        None, {BsPowerState.SLEEPING: 7.3, BsPowerState.LISTENING: 41.9,
+               BsPowerState.READY: 88.1, BsPowerState.TRANSFERRING: 213.7}])
+    def test_simulated_trials_match_ledger(self, cfg, powers):
+        if powers is not None:
+            cfg = replace(cfg, state_power_mw=powers)
+        sleeping, sizes = tuple(range(11)), (2, 3, 4)
+        ledger = [[bs_energy_ledger(cfg, s, k, 10) for s in sleeping] for k in sizes]
+        for trial in range(3):
+            sample = bs_energy_trial(cfg, sleeping, sizes, 10, trial)
+            assert np.max(np.abs(sample - ledger)) <= 1e-12
 
 
 class TestMtEnergy:
@@ -189,8 +202,40 @@ class TestDeterminism:
         small = replace(cfg, n_trials=90)
         assert run_coverage(small, workers=1) == run_coverage(small, workers=3)
         assert run_mt_energy(small, workers=1) == run_mt_energy(small, workers=2)
-        tiny = replace(cfg, n_trials=24)
-        assert run_bs_energy(tiny, workers=1) == run_bs_energy(tiny, workers=2)
+
+    def test_pool_is_bounded_by_chunks_and_cpus(self, cfg, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Records the requested size and runs every submit at once."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.submits = 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.submits += 1
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        small = replace(cfg, n_trials=6)
+        serial = run_mt_energy(small)
+        assert run_mt_energy(small, workers=10_000) == serial
+        assert run_mt_energy(small, workers=3) == serial
+        assert [(p.max_workers, p.submits) for p in pools] == [(4, 4), (3, 3)]
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert run_mt_energy(small, workers=8) == serial
+        assert len(pools) == 2      # one CPU, or an unknown count, runs in-process
 
 
 class TestCurveTypes:
@@ -216,5 +261,6 @@ def test_validation_suites_pass(cfg):
     small = replace(cfg, n_trials=60)
     rows = run_validation(small, n_instances=60)
     assert [name for name, _, _ in rows] == [
-        "grouping-oracle", "power-solve", "state-machine", "determinism"]
+        "grouping-oracle", "power-solve", "state-machine", "bs-energy-ledger",
+        "determinism"]
     assert all(passed for _, passed, _ in rows)
