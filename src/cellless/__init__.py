@@ -3,9 +3,8 @@
 from .channel import (ChannelSample, LinkBudget, downlink_budget, downlink_sinr,
                       draw_fading, path_loss, sample_channel, spectral_efficiency,
                       uplink_joint_snr)
-from .controller import (CoopGroup, Direction, form_group, group_rate,
-                         nearest_awake, start_service, transition,
-                         transition_many)
+from .controller import (CoopGroup, form_group, group_rate, nearest_awake,
+                         start_service, transition, transition_many)
 from .errors import (BusyBs, CelllessError, ConfigError, DomainError, EmptyGroup,
                      IllegalTransition, InfeasibleConfig, IoFailure,
                      NoBsAvailable, PlacementFailure)

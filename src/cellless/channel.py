@@ -121,14 +121,8 @@ def uplink_joint_snr(mt_power_mw: float, members, dep: Deployment,
     return LinkBudget(signal, 0.0, cfg.noise_power_mw).sinr
 
 
-def spectral_efficiency(sinr):
+def spectral_efficiency(sinr: float) -> float:
     """Shannon spectral efficiency log2(1 + sinr) in bit/s/Hz."""
-    if isinstance(sinr, (int, float)):
-        if sinr < 0.0:
-            raise DomainError("sinr must be non-negative")
-        return math.log2(1.0 + sinr)
-    x = np.asarray(sinr, dtype=float)
-    if np.any(x < 0.0):
+    if sinr < 0.0:
         raise DomainError("sinr must be non-negative")
-    out = np.log2(1.0 + x)
-    return float(out) if out.ndim == 0 else out
+    return math.log2(1.0 + sinr)

@@ -10,12 +10,13 @@ import sys
 import time
 from dataclasses import fields
 
-from .errors import ConfigError, InfeasibleConfig
+from .errors import ConfigError, InfeasibleConfig, PlacementFailure
 from .experiments import (DEFAULT_BS_GROUP_SIZES, DEFAULT_MT_GROUP_SIZES,
                           run_bs_energy, run_coverage, run_mt_energy,
                           run_validation)
 from .report import ExperimentReport, emit_csv, emit_json, summarize
-from .scenario import ScenarioConfig, load_config, parse_state_powers
+from .scenario import (_INT_FIELDS, STATE_ORDER, ScenarioConfig, load_config,
+                       parse_state_powers)
 
 _FIELD_HELP = {
     "area_side_m": "side of the square deployment area in meters",
@@ -64,14 +65,11 @@ def _add_config_flags(sub):
     defaults = ScenarioConfig()
     for f in fields(ScenarioConfig):
         if f.name == "state_power_mw":
-            default_text = ",".join(
-                f"{defaults.state_power_mw[s]:g}" for s in
-                sorted(defaults.state_power_mw, key=lambda s: defaults.state_power_mw[s]))
+            default_text = ",".join(f"{defaults.state_power_mw[s]:g}" for s in STATE_ORDER)
             sub.add_argument("--state_power_mw", type=str, default=None,
                              help=f"{_FIELD_HELP[f.name]} (default: {default_text})")
             continue
-        kind = int if f.name in ("n_bs", "n_busy_bs", "n_candidates",
-                                 "max_group_size", "n_trials", "seed") else float
+        kind = int if f.name in _INT_FIELDS else float
         sub.add_argument(f"--{f.name}", type=kind, default=None,
                          help=f"{_FIELD_HELP[f.name]} (default: {getattr(defaults, f.name)})")
 
@@ -194,7 +192,7 @@ def main(argv=None) -> int:
             raise ConfigError("--workers must be at least 1")
         cfg = load_config(args.config, _collect_overrides(args))
         return _dispatch(args, cfg)
-    except (ConfigError, InfeasibleConfig) as exc:
+    except (ConfigError, InfeasibleConfig, PlacementFailure) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

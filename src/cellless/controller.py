@@ -7,18 +7,12 @@ state.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelSample, downlink_sinr, spectral_efficiency, uplink_joint_snr
+from .channel import ChannelSample, downlink_sinr, spectral_efficiency
 from .errors import BusyBs, DomainError, EmptyGroup, IllegalTransition, NoBsAvailable
 from .scenario import BsPowerState, Deployment, ScenarioConfig, nearest_candidates
-
-
-class Direction(Enum):
-    UPLINK = "uplink"
-    DOWNLINK = "downlink"
 
 
 #: States in which a BS may join a new group (once woken to transferring).
@@ -43,10 +37,9 @@ _WAKE_NEXT = {
 
 @dataclass(frozen=True)
 class CoopGroup:
-    """An ordered set of BSs serving one terminal in one direction."""
+    """An ordered set of BSs jointly serving one terminal on the downlink."""
 
     member_bs: tuple          # BS ids in selection order
-    direction: Direction
     served_mt: int
     demand_rate: float        # bit/s/Hz the terminal asked for
     achieved_rate: float
@@ -100,13 +93,10 @@ def start_service(dep: Deployment, group: CoopGroup) -> Deployment:
     return Deployment(dep.bs_positions, dep.mt_positions, tuple(states), tuple(loads))
 
 
-def group_rate(members, direction: Direction, mt_index: int, dep: Deployment,
+def group_rate(members, mt_index: int, dep: Deployment,
                ch: ChannelSample, cfg: ScenarioConfig) -> float:
-    """Spectral efficiency a member set delivers to one terminal."""
-    if direction is Direction.DOWNLINK:
-        return spectral_efficiency(downlink_sinr(mt_index, members, dep, ch, cfg))
-    return spectral_efficiency(
-        uplink_joint_snr(cfg.mt_tx_power_mw, members, dep, ch, cfg, mt_index=mt_index))
+    """Downlink spectral efficiency a member set delivers to one terminal."""
+    return spectral_efficiency(downlink_sinr(mt_index, members, dep, ch, cfg))
 
 
 def nearest_awake(dep: Deployment, mt_index: int) -> int:
@@ -116,12 +106,12 @@ def nearest_awake(dep: Deployment, mt_index: int) -> int:
     raise NoBsAvailable("every BS is sleeping")
 
 
-def form_group(mt_index: int, demand_rate: float, direction: Direction,
-               dep: Deployment, ch: ChannelSample, cfg: ScenarioConfig,
+def form_group(mt_index: int, demand_rate: float, dep: Deployment,
+               ch: ChannelSample, cfg: ScenarioConfig,
                share_busy: bool = False) -> CoopGroup:
-    """Pick the serving group for one terminal.
+    """Pick the downlink serving group for one terminal.
 
-    Idle candidates (ready or listening, serving nobody) among the
+    Idle candidates (ready or listening, hence serving nobody) among the
     ``n_candidates`` nearest BSs join strongest gain first until the
     demanded rate is met or the size cap is hit; the group stays as small
     as the demand allows. ``math.inf`` fills the group to the cap. When no
@@ -130,7 +120,7 @@ def form_group(mt_index: int, demand_rate: float, direction: Direction,
 
     With ``share_busy`` the congestion exception applies: transferring
     candidates may also be enlisted (a BS may serve more than one terminal),
-    which turns their interference into useful signal on the downlink. Only
+    which turns their interference into useful signal. Only
     sleeping stations stay out of reach.
     """
     if not demand_rate >= 0:
@@ -140,21 +130,19 @@ def form_group(mt_index: int, demand_rate: float, direction: Direction,
         eligible = [b for b in candidates
                     if dep.bs_states[b] is not BsPowerState.SLEEPING]
     else:
-        eligible = [b for b in candidates
-                    if dep.bs_states[b] in IDLE_STATES and dep.bs_load[b] == 0]
+        eligible = [b for b in candidates if dep.bs_states[b] in IDLE_STATES]
 
     if not eligible:
         fallback = nearest_awake(dep, mt_index)
-        rate = group_rate([fallback], direction, mt_index, dep, ch, cfg)
-        return CoopGroup((fallback,), direction, mt_index, demand_rate, rate, True)
+        rate = group_rate([fallback], mt_index, dep, ch, cfg)
+        return CoopGroup((fallback,), mt_index, demand_rate, rate, True)
 
     gains = ch.gains[:, mt_index]
     members = []
     rate = 0.0
     for b in sorted(eligible, key=lambda b: (-gains[b], b)):
         members.append(b)
-        rate = group_rate(members, direction, mt_index, dep, ch, cfg)
+        rate = group_rate(members, mt_index, dep, ch, cfg)
         if rate >= demand_rate or len(members) == cfg.max_group_size:
             break
-    return CoopGroup(tuple(members), direction, mt_index, demand_rate,
-                     rate, rate < demand_rate)
+    return CoopGroup(tuple(members), mt_index, demand_rate, rate, rate < demand_rate)

@@ -25,9 +25,9 @@ from functools import partial
 import numpy as np
 
 from .channel import downlink_sinr, sample_channel, spectral_efficiency, uplink_joint_snr
-from .controller import (_LEGAL_TRANSITIONS, IDLE_STATES, CoopGroup, Direction,
-                         form_group, group_rate, nearest_awake, start_service,
-                         transition, transition_many)
+from .controller import (_LEGAL_TRANSITIONS, IDLE_STATES, CoopGroup, form_group,
+                         group_rate, nearest_awake, start_service, transition,
+                         transition_many)
 from .errors import BusyBs, IllegalTransition, InfeasibleConfig
 from .scenario import (BsPowerState, Deployment, RandomStream, ScenarioConfig,
                        generate_deployment, nearest_candidates, total_power_mw)
@@ -155,16 +155,30 @@ def _scan_trials(chunk, n_trials: int, workers: int) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
+def draw_instance(cfg: ScenarioConfig, base: RandomStream):
+    """Deployment from ``base``'s "deploy" child, channel from its "fading" child."""
+    dep = generate_deployment(cfg, base.child("deploy"))
+    return dep, sample_channel(dep, cfg, base.child("fading"))
+
+
+def joint_reception_order(dep: Deployment, ch, cfg: ScenarioConfig) -> list:
+    """The typical user's candidates: the nearest, then the rest strongest gain first.
+
+    The nearest BS is the lone receiver of the non-joint baseline, so it
+    anchors every joint-reception group; each group is a prefix of this list.
+    """
+    candidates = nearest_candidates(dep, 0, cfg.n_candidates)
+    gains = ch.gains[:, 0]
+    return candidates[:1] + sorted(candidates[1:], key=lambda b: (-gains[b], b))
+
+
 # ---------------------------------------------------------------------------
 # coverage
 # ---------------------------------------------------------------------------
 
 def coverage_instance(cfg: ScenarioConfig, trial: int):
     """Deployment and channel draw shared by both arms of one coverage trial."""
-    base = RandomStream(cfg.seed, "coverage", trial)
-    dep = generate_deployment(cfg, base.child("deploy"))
-    ch = sample_channel(dep, cfg, base.child("fading"))
-    return dep, ch
+    return draw_instance(cfg, RandomStream(cfg.seed, "coverage", trial))
 
 
 def _coverage_chunk(cfg, start, stop, event_log=None):
@@ -173,8 +187,7 @@ def _coverage_chunk(cfg, start, stop, event_log=None):
         dep, ch = coverage_instance(cfg, trial)
         nearest = nearest_candidates(dep, 0, 1)[0]
         # share_busy: the group converts nearby busy interferers into signal
-        group = form_group(0, math.inf, Direction.DOWNLINK, dep, ch, cfg,
-                           share_busy=True)
+        group = form_group(0, math.inf, dep, ch, cfg, share_busy=True)
         out[i, 0] = downlink_sinr(0, [nearest], dep, ch, cfg)
         out[i, 1] = downlink_sinr(0, group.member_bs, dep, ch, cfg)
         if event_log is not None:
@@ -227,7 +240,7 @@ def run_coverage(cfg: ScenarioConfig, thresholds_db=None, workers: int = 1,
 # ---------------------------------------------------------------------------
 
 def bs_energy_trial(cfg: ScenarioConfig, sleeping_counts, group_sizes,
-                    n_users: int, trial: int, event_log=None) -> np.ndarray:
+                    n_users: int, trial: int) -> np.ndarray:
     """Fractional BS power saving for one trial, per (group size, sleeping count).
 
     All terminals get a fixed-size group formed over every idle BS (the
@@ -249,10 +262,7 @@ def bs_energy_trial(cfg: ScenarioConfig, sleeping_counts, group_sizes,
         form_cfg = replace(cfg, n_busy_bs=0, n_candidates=cfg.n_bs, max_group_size=k)
         dep = dep0
         for mt in range(n_users):
-            group = form_group(mt, math.inf, Direction.DOWNLINK, dep, ch, form_cfg)
-            dep = start_service(dep, group)
-            if event_log is not None:
-                _log_decision(event_log, trial, group)
+            dep = start_service(dep, form_group(mt, math.inf, dep, ch, form_cfg))
         off_duty = [int(b) for b in perm
                     if dep.bs_states[int(b)] is not BsPowerState.TRANSFERRING]
         # baseline keeps every off-duty BS listening; sleepers step down from there
@@ -300,13 +310,14 @@ def run_bs_energy(cfg: ScenarioConfig, sleeping_counts=None,
         raise InfeasibleConfig("n_users must be at least 1")
     if sleeping_counts and sleeping_counts[0] < 0:
         raise InfeasibleConfig("sleeping counts must be non-negative")
+    most_asleep = sleeping_counts[-1] if sleeping_counts else 0
     for k in group_sizes:
         if k < 1:
             raise InfeasibleConfig("group sizes must be at least 1")
-        need = n_users * k + (sleeping_counts[-1] if sleeping_counts else 0)
+        need = n_users * k + most_asleep
         if need > cfg.n_bs:
             raise InfeasibleConfig(
-                f"{n_users} groups of {k} plus {sleeping_counts[-1]} sleepers "
+                f"{n_users} groups of {k} plus {most_asleep} sleepers "
                 f"need {need} BSs but only {cfg.n_bs} exist")
     saving = {k: tuple(bs_energy_ledger(cfg, s, k, n_users) for s in sleeping_counts)
               for k in group_sizes}
@@ -328,19 +339,11 @@ def mt_energy_trial(cfg: ScenarioConfig, group_sizes, trial: int) -> np.ndarray:
     P = P0 * g_nearest / sum(g over group), so the size-1 saving is zero by
     construction and savings grow monotonically with the group.
     """
-    base = RandomStream(cfg.seed, "mt-energy", trial)
-    dep = generate_deployment(cfg, base.child("deploy"))
-    ch = sample_channel(dep, cfg, base.child("fading"))
-    candidates = nearest_candidates(dep, 0, cfg.n_candidates)
-    nearest = candidates[0]
-    gains = ch.gains[:, 0]
-    helpers = sorted(candidates[1:], key=lambda b: (-gains[b], b))
+    dep, ch = draw_instance(cfg, RandomStream(cfg.seed, "mt-energy", trial))
+    order = joint_reception_order(dep, ch, cfg)
     # sequential prefix sums keep the per-trial savings monotone exactly
-    prefix = np.cumsum(gains[[nearest] + helpers])
-    savings = np.empty(len(group_sizes))
-    for i, n in enumerate(group_sizes):
-        savings[i] = 1.0 - gains[nearest] / prefix[n - 1]
-    return savings
+    prefix = np.cumsum(ch.gains[order, 0])
+    return 1.0 - prefix[0] / prefix[np.asarray(group_sizes, dtype=int) - 1]
 
 
 def _mt_energy_chunk(cfg, group_sizes, start, stop):
@@ -370,9 +373,8 @@ def run_mt_energy(cfg: ScenarioConfig, group_sizes=DEFAULT_MT_GROUP_SIZES,
 # ---------------------------------------------------------------------------
 
 def oracle_min_group(candidates, demand: float, dep, ch, cfg,
-                     mt_index: int = 0,
-                     direction: Direction = Direction.DOWNLINK) -> CoopGroup:
-    """Exhaustive reference for group formation over a small candidate set.
+                     mt_index: int = 0) -> CoopGroup:
+    """Exhaustive reference for downlink group formation over a small candidate set.
 
     Enumerates every idle subset up to the size cap. The smallest subset
     meeting the demand wins, ties broken by higher rate then lexicographic
@@ -381,17 +383,16 @@ def oracle_min_group(candidates, demand: float, dep, ch, cfg,
     """
     if len(candidates) > 12:
         raise ValueError("exhaustive search is limited to 12 candidates")
-    idle = sorted(b for b in candidates
-                  if dep.bs_states[b] in IDLE_STATES and dep.bs_load[b] == 0)
+    idle = sorted(b for b in candidates if dep.bs_states[b] in IDLE_STATES)
     if not idle:
         fallback = nearest_awake(dep, mt_index)
-        rate = group_rate([fallback], direction, mt_index, dep, ch, cfg)
-        return CoopGroup((fallback,), direction, mt_index, demand, rate, True)
+        rate = group_rate([fallback], mt_index, dep, ch, cfg)
+        return CoopGroup((fallback,), mt_index, demand, rate, True)
 
     def best_of(combos):
         top_rate, top_members = -1.0, None
         for members in combos:
-            rate = group_rate(members, direction, mt_index, dep, ch, cfg)
+            rate = group_rate(members, mt_index, dep, ch, cfg)
             if rate > top_rate:
                 top_rate, top_members = rate, members
         return top_rate, top_members
@@ -399,12 +400,12 @@ def oracle_min_group(candidates, demand: float, dep, ch, cfg,
     cap = min(cfg.max_group_size, len(idle))
     for size in range(1, cap + 1):
         feasible = [m for m in itertools.combinations(idle, size)
-                    if group_rate(m, direction, mt_index, dep, ch, cfg) >= demand]
+                    if group_rate(m, mt_index, dep, ch, cfg) >= demand]
         if feasible:
             rate, members = best_of(feasible)
-            return CoopGroup(members, direction, mt_index, demand, rate, False)
+            return CoopGroup(members, mt_index, demand, rate, False)
     rate, members = best_of(itertools.combinations(idle, cap))
-    return CoopGroup(members, direction, mt_index, demand, rate, True)
+    return CoopGroup(members, mt_index, demand, rate, True)
 
 
 def oracle_power_solve(group, target_rate: float, dep, ch, cfg,
@@ -443,8 +444,7 @@ def oracle_power_solve(group, target_rate: float, dep, ch, cfg,
 def grouping_validation_instance(cfg: ScenarioConfig, index: int):
     """Random (deployment, channel, demand) instance for oracle comparison."""
     base = RandomStream(cfg.seed, "validate/grouping", index)
-    dep = generate_deployment(cfg, base.child("deploy"))
-    ch = sample_channel(dep, cfg, base.child("fading"))
+    dep, ch = draw_instance(cfg, base)
     demand = float(base.child("demand").rng().uniform(0.0, 8.0))
     return dep, ch, demand
 
@@ -452,17 +452,14 @@ def grouping_validation_instance(cfg: ScenarioConfig, index: int):
 def power_validation_instance(cfg: ScenarioConfig, index: int):
     """Random joint-reception instance: (group, baseline target, closed form)."""
     base = RandomStream(cfg.seed, "validate/power", index)
-    dep = generate_deployment(cfg, base.child("deploy"))
-    ch = sample_channel(dep, cfg, base.child("fading"))
-    candidates = nearest_candidates(dep, 0, cfg.n_candidates)
-    nearest = candidates[0]
-    gains = ch.gains[:, 0]
-    helpers = sorted(candidates[1:], key=lambda b: (-gains[b], b))
+    dep, ch = draw_instance(cfg, base)
+    order = joint_reception_order(dep, ch, cfg)
     n = int(base.child("size").rng().integers(1, cfg.n_candidates + 1))
-    group = ([nearest] + helpers)[:n]
+    group = order[:n]
     target = spectral_efficiency(
-        uplink_joint_snr(cfg.mt_tx_power_mw, [nearest], dep, ch, cfg))
-    closed = cfg.mt_tx_power_mw * gains[nearest] / float(np.sum(gains[group]))
+        uplink_joint_snr(cfg.mt_tx_power_mw, order[:1], dep, ch, cfg))
+    gains = ch.gains[:, 0]
+    closed = cfg.mt_tx_power_mw * gains[order[0]] / float(np.sum(gains[group]))
     return dep, ch, group, target, closed
 
 
@@ -473,7 +470,7 @@ def run_validation(cfg: ScenarioConfig, n_instances: int = 1000) -> list:
     mismatches = []
     for i in range(n_instances):
         dep, ch, demand = grouping_validation_instance(cfg, i)
-        got = form_group(0, demand, Direction.DOWNLINK, dep, ch, cfg)
+        got = form_group(0, demand, dep, ch, cfg)
         want = oracle_min_group(nearest_candidates(dep, 0, cfg.n_candidates),
                                 demand, dep, ch, cfg)
         if set(got.member_bs) != set(want.member_bs):

@@ -96,9 +96,8 @@ def render_csv(report: ExperimentReport) -> str:
     return out.getvalue()
 
 
-def emit_csv(report: ExperimentReport, destination) -> None:
-    """Write the report CSV to a path or text handle."""
-    text = render_csv(report)
+def _write(text: str, destination) -> None:
+    """Write report text to a path or text handle."""
     try:
         if hasattr(destination, "write"):
             destination.write(text)
@@ -107,6 +106,11 @@ def emit_csv(report: ExperimentReport, destination) -> None:
                 fh.write(text)
     except OSError as exc:
         raise IoFailure(f"could not write report: {exc}") from exc
+
+
+def emit_csv(report: ExperimentReport, destination) -> None:
+    """Write the report CSV to a path or text handle."""
+    _write(render_csv(report), destination)
 
 
 def parse_csv(source) -> tuple:
@@ -156,15 +160,7 @@ def to_dict(report: ExperimentReport) -> dict:
 
 def emit_json(report: ExperimentReport, destination) -> None:
     """Write the structured-object report as deterministic JSON."""
-    text = json.dumps(to_dict(report), indent=2) + "\n"
-    try:
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w", newline="") as fh:
-                fh.write(text)
-    except OSError as exc:
-        raise IoFailure(f"could not write report: {exc}") from exc
+    _write(json.dumps(to_dict(report), indent=2) + "\n", destination)
 
 
 def summarize(report: ExperimentReport) -> str:

@@ -7,6 +7,7 @@ numbers bit for bit.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -25,12 +26,11 @@ class BsPowerState(Enum):
     TRANSFERRING = "transferring"
 
 
-STATE_ORDER = (
-    BsPowerState.SLEEPING,
-    BsPowerState.LISTENING,
-    BsPowerState.READY,
-    BsPowerState.TRANSFERRING,
-)
+STATE_ORDER = tuple(BsPowerState)
+
+_INT_FIELDS = ("n_bs", "n_busy_bs", "n_candidates", "max_group_size", "n_trials", "seed")
+_FLOAT_FIELDS = ("area_side_m", "bs_tx_power_mw", "mt_tx_power_mw", "path_loss_exponent",
+                 "reference_distance_m", "noise_power_mw", "min_distance_m")
 
 
 def _default_state_powers() -> dict:
@@ -70,14 +70,14 @@ class ScenarioConfig:
             raise ConfigError("n_candidates must lie in [1, n_bs]")
         if not 1 <= self.max_group_size <= self.n_candidates:
             raise ConfigError("max_group_size must lie in [1, n_candidates]")
-        for name in ("area_side_m", "bs_tx_power_mw", "mt_tx_power_mw",
-                     "path_loss_exponent", "reference_distance_m",
-                     "noise_power_mw", "min_distance_m"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be strictly positive")
+        for name in _FLOAT_FIELDS:
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and strictly positive")
         if set(self.state_power_mw) != set(STATE_ORDER):
             raise ConfigError("state_power_mw needs exactly the four power states")
         powers = [self.state_power_mw[s] for s in STATE_ORDER]
+        if not all(math.isfinite(p) for p in powers):
+            raise ConfigError("state powers must be finite")
         if powers[0] <= 0:
             raise ConfigError("state powers must be strictly positive")
         if not all(a < b for a, b in zip(powers, powers[1:])):
@@ -87,11 +87,6 @@ class ScenarioConfig:
             raise ConfigError("n_trials must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
-
-
-_INT_FIELDS = {"n_bs", "n_busy_bs", "n_candidates", "max_group_size", "n_trials", "seed"}
-_FLOAT_FIELDS = {"area_side_m", "bs_tx_power_mw", "mt_tx_power_mw", "path_loss_exponent",
-                 "reference_distance_m", "noise_power_mw", "min_distance_m"}
 
 
 def parse_state_powers(text: str) -> dict:
@@ -114,8 +109,6 @@ def _parse_value(key: str, raw: str):
             return float(raw)
         if key == "state_power_mw":
             return parse_state_powers(raw)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad value for '{key}': {exc}") from exc
     raise ConfigError(f"unknown config key '{key}'")

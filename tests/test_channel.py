@@ -141,10 +141,6 @@ class TestSpectralEfficiency:
         with pytest.raises(DomainError):
             spectral_efficiency(-0.1)
 
-    def test_array_input(self):
-        out = spectral_efficiency(np.array([0.0, 1.0, 3.0]))
-        assert np.allclose(out, [0.0, 1.0, 2.0])
-
 
 class TestLinkBudget:
     def test_validation(self):

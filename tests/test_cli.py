@@ -8,8 +8,9 @@ from cellless import (ExperimentReport, MtEnergyCurve, ScenarioConfig, cli,
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Each golden file is the report of one small run; coverage and mt-energy
-# were written before bs-energy became a closed form and must not move.
+# Each golden file is the report of one small run; the coverage and
+# mt-energy CSVs were written before bs-energy became a closed form, and the
+# JSON files before the report writers were merged; none of them may move.
 GOLDEN_ARGS = {
     "coverage": ["coverage", "--n_trials", "40", "--seed", "3"],
     "mt-energy": ["mt-energy", "--n_trials", "40", "--seed", "3"],
@@ -25,6 +26,13 @@ def test_report_matches_golden_bytes(tmp_path, capsys, command, workers):
     assert cli.main(argv) == 0
     assert out.read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()
     assert "FAIL" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
+def test_json_report_matches_golden_bytes(tmp_path, command):
+    out = tmp_path / "out.json"
+    assert cli.main(GOLDEN_ARGS[command] + ["--format", "json", "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{command}.json").read_bytes()
 
 
 def test_parse_csv_round_trips_render_csv():
@@ -53,6 +61,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 def test_workers_below_one_exit_2(capsys, command):
     assert cli.main([command, "--workers", "0"]) == 2
     assert "--workers must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--area_side_m", "inf"),
+    ("--reference_distance_m", "inf"),
+    ("--path_loss_exponent", "inf"),
+    ("--state_power_mw", "10,50,80,inf"),
+    ("--min_distance_m", "40"),
+])
+def test_bad_scenario_exits_2(capsys, flag, value):
+    assert cli.main(["coverage", "--n_trials", "5", flag, value]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_bs_energy_has_no_event_log(tmp_path):

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cellless import (BsPowerState, BusyBs, CoopGroup, Direction, DomainError,
-                      EmptyGroup, IllegalTransition, NoBsAvailable, RandomStream,
-                      form_group, generate_deployment, group_rate, nearest_awake,
+from cellless import (BsPowerState, BusyBs, CoopGroup, DomainError, EmptyGroup,
+                      IllegalTransition, NoBsAvailable, RandomStream, form_group, generate_deployment, group_rate, nearest_awake,
                       nearest_candidates, oracle_min_group, sample_channel,
                       start_service, transition, transition_many)
 from conftest import line_deployment, make_channel
@@ -22,7 +21,7 @@ LEGAL = {
 
 
 def _group(members):
-    return CoopGroup(tuple(members), Direction.DOWNLINK, 0, 1.0, 5.0, False)
+    return CoopGroup(tuple(members), 0, 1.0, 5.0, False)
 
 
 class TestStateMachine:
@@ -81,7 +80,7 @@ class TestFormGroup:
         # economy: one candidate already meets the demand, group stays size 1
         dep = line_deployment([2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
         ch = make_channel([1e-3, 8e-4, 6e-4, 5e-4, 4e-4, 3e-4, 2e-4, 1e-4, 9e-5, 8e-5])
-        group = form_group(0, 2.0, Direction.DOWNLINK, dep, ch, cfg)
+        group = form_group(0, 2.0, dep, ch, cfg)
         assert group.member_bs == (0,)
         assert not group.best_effort
         assert group.achieved_rate >= 2.0
@@ -90,7 +89,7 @@ class TestFormGroup:
         dep = line_deployment([2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
                               states=(BUSY,) * 10, loads=(1,) * 10)
         ch = make_channel([1e-4, 8e-4, 6e-4, 5e-4, 4e-4, 3e-4, 2e-4, 1e-4, 9e-5, 8e-5])
-        group = form_group(0, 2.0, Direction.DOWNLINK, dep, ch, cfg)
+        group = form_group(0, 2.0, dep, ch, cfg)
         assert group.member_bs == (0,)      # nearest, not strongest
         assert group.best_effort
 
@@ -100,7 +99,7 @@ class TestFormGroup:
                                       READY, BUSY, BUSY, READY))
         gains = [1e-3, 9e-4, 2e-4, 6e-4, 8e-5, 3e-4, 1e-4, 7e-5, 6e-5, 5e-5]
         ch = make_channel(gains)
-        group = form_group(0, 30.0, Direction.DOWNLINK, dep, ch, cfg)
+        group = form_group(0, 30.0, dep, ch, cfg)
         assert set(group.member_bs) == {3, 5, 2}   # strongest idle gains
         assert group.member_bs == (3, 5, 2)        # selection order, gain-descending
         assert group.best_effort
@@ -110,14 +109,14 @@ class TestFormGroup:
     def test_zero_demand_returns_single_strongest(self, cfg):
         dep = line_deployment([2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
         ch = make_channel([1e-4, 9e-4, 2e-4, 6e-4, 8e-5, 3e-4, 1e-4, 7e-5, 6e-5, 5e-5])
-        group = form_group(0, 0.0, Direction.DOWNLINK, dep, ch, cfg)
+        group = form_group(0, 0.0, dep, ch, cfg)
         assert group.member_bs == (1,)
         assert not group.best_effort
 
     def test_infinite_demand_fills_to_cap(self, cfg):
         dep = line_deployment([2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
         ch = make_channel([1e-3, 9e-4, 8e-4, 7e-4, 6e-4, 5e-4, 4e-4, 3e-4, 2e-4, 1e-4])
-        group = form_group(0, math.inf, Direction.DOWNLINK, dep, ch, cfg)
+        group = form_group(0, math.inf, dep, ch, cfg)
         assert group.member_bs == (0, 1, 2)
         assert group.best_effort
 
@@ -126,7 +125,7 @@ class TestFormGroup:
         dep = line_deployment([2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
                               states=states, loads=(0,) * 6 + (1,) + (0,) * 3)
         ch = make_channel([1e-3] * 10)
-        group = form_group(0, 2.0, Direction.DOWNLINK, dep, ch, cfg)
+        group = form_group(0, 2.0, dep, ch, cfg)
         assert group.member_bs == (6,)
         assert group.best_effort
 
@@ -134,7 +133,7 @@ class TestFormGroup:
         dep = line_deployment([2, 3, 4, 5, 6, 7, 8, 9, 10, 11], states=(SLEEP,) * 10)
         ch = make_channel([1e-3] * 10)
         with pytest.raises(NoBsAvailable):
-            form_group(0, 2.0, Direction.DOWNLINK, dep, ch, cfg)
+            form_group(0, 2.0, dep, ch, cfg)
         with pytest.raises(NoBsAvailable):
             nearest_awake(dep, 0)
 
@@ -143,9 +142,8 @@ class TestFormGroup:
         dep = line_deployment([2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
                               states=states, loads=(1, 1) + (0,) * 8)
         ch = make_channel([1e-3, 9e-4, 8e-4, 7e-4, 6e-4, 5e-4, 4e-4, 3e-4, 2e-4, 1e-4])
-        shared = form_group(0, math.inf, Direction.DOWNLINK, dep, ch, cfg,
-                            share_busy=True)
-        strict = form_group(0, math.inf, Direction.DOWNLINK, dep, ch, cfg)
+        shared = form_group(0, math.inf, dep, ch, cfg, share_busy=True)
+        strict = form_group(0, math.inf, dep, ch, cfg)
         assert shared.member_bs == (0, 1, 2)   # busy pair converted to signal
         assert strict.member_bs == (2, 3, 4)   # idle-only greedy skips them
 
@@ -156,11 +154,10 @@ class TestFormGroup:
             dep = generate_deployment(small_cfg, base.child("deploy"))
             ch = sample_channel(dep, small_cfg, base.child("fading"))
             demand = float(base.child("demand").rng().uniform(0.0, 6.0))
-            group = form_group(0, demand, Direction.DOWNLINK, dep, ch, small_cfg)
+            group = form_group(0, demand, dep, ch, small_cfg)
             if not group.best_effort:
                 hits += 1
-                rate = group_rate(group.member_bs, Direction.DOWNLINK, 0,
-                                  dep, ch, small_cfg)
+                rate = group_rate(group.member_bs, 0, dep, ch, small_cfg)
                 assert rate >= demand
                 assert rate == group.achieved_rate
         assert hits > 10
@@ -170,7 +167,7 @@ class TestFormGroup:
         ch = make_channel([1e-3])
         one_bs = type(cfg)(n_bs=1, n_busy_bs=0, n_candidates=1, max_group_size=1)
         with pytest.raises(DomainError):
-            form_group(0, -1.0, Direction.DOWNLINK, dep, ch, one_bs)
+            form_group(0, -1.0, dep, ch, one_bs)
 
 
 class TestCoopGroupType:
@@ -190,7 +187,7 @@ def test_greedy_matches_exhaustive_oracle(small_cfg):
         dep = generate_deployment(small_cfg, base.child("deploy"))
         ch = sample_channel(dep, small_cfg, base.child("fading"))
         demand = float(base.child("demand").rng().uniform(0.0, 8.0))
-        got = form_group(0, demand, Direction.DOWNLINK, dep, ch, small_cfg)
+        got = form_group(0, demand, dep, ch, small_cfg)
         candidates = nearest_candidates(dep, 0, small_cfg.n_candidates)
         want = oracle_min_group(candidates, demand, dep, ch, small_cfg)
         assert set(got.member_bs) == set(want.member_bs)

@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cellless import (BsEnergyCurve, BsPowerState, CoverageCurve, Direction,
-                      InfeasibleConfig, MtEnergyCurve, bs_energy_ledger,
-                      experiments, form_group, mt_energy_trial,
-                      nearest_candidates, oracle_min_group, oracle_power_solve,
-                      run_bs_energy, run_coverage, run_mt_energy, run_validation,
-                      spectral_efficiency, uplink_joint_snr)
+from cellless import (BsEnergyCurve, BsPowerState, CoverageCurve, InfeasibleConfig,
+                      MtEnergyCurve, bs_energy_ledger, experiments, form_group,
+                      mt_energy_trial, nearest_candidates, oracle_min_group,
+                      oracle_power_solve, run_bs_energy, run_coverage,
+                      run_mt_energy, run_validation, spectral_efficiency,
+                      uplink_joint_snr)
 from cellless.experiments import (bs_energy_trial, coverage_instance,
                                   coverage_trial, power_validation_instance)
 from conftest import line_deployment, make_channel
@@ -47,8 +47,7 @@ class TestCoverage:
         for trial in range(150):
             dep, ch = coverage_instance(cfg, trial)
             nearest = nearest_candidates(dep, 0, 1)[0]
-            group = form_group(0, math.inf, Direction.DOWNLINK, dep, ch, cfg,
-                               share_busy=True)
+            group = form_group(0, math.inf, dep, ch, cfg, share_busy=True)
             cellular, cellless = coverage_trial(cfg, trial)
             if dep.bs_states[nearest] is BsPowerState.READY and nearest in group.member_bs:
                 assert cellless >= cellular
@@ -98,6 +97,8 @@ class TestBsEnergy:
         with pytest.raises(InfeasibleConfig):
             run_bs_energy(replace(cfg, n_trials=2), sleeping_counts=[11],
                           group_sizes=[4], n_users=10)
+        with pytest.raises(InfeasibleConfig, match="plus 0 sleepers need 60 BSs"):
+            run_bs_energy(cfg, sleeping_counts=[], group_sizes=[6], n_users=10)
 
     def test_means_have_zero_spread(self, cfg):
         curve = run_bs_energy(replace(cfg, n_trials=10))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from cellless import (BsPowerState, ConfigError, PlacementFailure, RandomStream,
                       ScenarioConfig, config_lines, generate_deployment,
@@ -29,6 +31,18 @@ class TestScenarioConfig:
         dict(n_trials=0),
         dict(seed=-1),
         dict(seed=2 ** 64),
+        dict(area_side_m=float("inf")),
+        dict(reference_distance_m=float("inf")),
+        dict(path_loss_exponent=float("inf")),
+        dict(min_distance_m=float("nan")),
+        dict(bs_tx_power_mw=float("nan")),
+        dict(noise_power_mw=float("inf")),
+        dict(state_power_mw={BsPowerState.SLEEPING: 10.0, BsPowerState.LISTENING: 50.0,
+                             BsPowerState.READY: 80.0,
+                             BsPowerState.TRANSFERRING: float("inf")}),
+        dict(state_power_mw={BsPowerState.SLEEPING: float("nan"),
+                             BsPowerState.LISTENING: 50.0, BsPowerState.READY: 80.0,
+                             BsPowerState.TRANSFERRING: 200.0}),
     ])
     def test_invariant_violations_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -154,6 +168,30 @@ class TestGenerateDeployment:
         assert dep.n_mt == 10
         assert tuple(dep.mt_positions[0]) == (25.0, 25.0)
         assert np.all(dep.mt_positions >= 0.0) and np.all(dep.mt_positions <= 50.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_bs=st.integers(1, 20), n_mt=st.integers(1, 4),
+           area=st.floats(1.0, 200.0), clearance=st.floats(0.001, 0.8),
+           seed=st.integers(0, 2 ** 64 - 1), trial=st.integers(0, 2 ** 32 - 1))
+    def test_placement_keeps_clearance_or_fails(self, n_bs, n_mt, area, clearance,
+                                                seed, trial):
+        cfg = ScenarioConfig(area_side_m=area, n_bs=n_bs, n_busy_bs=0, n_candidates=1,
+                             max_group_size=1, min_distance_m=area * clearance)
+        try:
+            dep = generate_deployment(cfg, RandomStream(seed, "prop", trial), n_mt=n_mt)
+        except PlacementFailure:
+            event("placement failed")
+            return
+        bs, mt = dep.bs_positions, dep.mt_positions
+        assert bs.shape == (n_bs, 2) and mt.shape == (n_mt, 2)
+        for pos in (bs, mt):
+            assert np.all(pos >= 0.0) and np.all(pos <= area)
+        # squared distances, computed as placement computes them
+        min_sq = cfg.min_distance_m ** 2
+        assert np.all(((bs[:, None, :] - mt[None, :, :]) ** 2).sum(axis=2) >= min_sq)
+        d_bs = ((bs[:, None, :] - bs[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d_bs, np.inf)
+        assert np.all(d_bs >= min_sq)
 
     def test_single_bs_draws_are_uniform(self):
         # mean of 1e5 single-BS draws within 1% of the center, per axis
