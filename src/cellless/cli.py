@@ -2,15 +2,18 @@
 
 Binds scenario files and flag overrides to the experiment kernels, writes
 CSV/JSON reports, and exposes the built-in validation suites. Exit codes:
-0 success, 1 validation failure, 2 configuration error.
+0 success, 1 validation failure, 2 configuration or file error.
 """
 
 import argparse
+import errno
+import math
+import os
 import sys
 import time
 from dataclasses import fields
 
-from .errors import ConfigError, InfeasibleConfig, PlacementFailure
+from .errors import ConfigError, InfeasibleConfig, IoFailure, PlacementFailure
 from .experiments import (DEFAULT_BS_GROUP_SIZES, DEFAULT_MT_GROUP_SIZES,
                           run_bs_energy, run_coverage, run_mt_energy,
                           run_validation)
@@ -36,10 +39,20 @@ _FIELD_HELP = {
 }
 
 
+_MAX_SWEEP_POINTS = 10_000
+
+
 def _sweep(text: str, cast):
-    """Parse 'start:stop:step' (inclusive) or a comma-separated list."""
-    if ":" in text:
-        parts = [float(p) for p in text.split(":")]
+    """Parse 'start:stop:step' (inclusive) or a comma-separated list.
+
+    Every number must be finite and a sweep holds at most 10 000 points; a
+    range's point count is checked before the range is built.
+    """
+    is_range = ":" in text
+    parts = [float(p) for p in text.split(":" if is_range else ",")]
+    if not all(math.isfinite(p) for p in parts):
+        raise argparse.ArgumentTypeError("sweep values must be finite")
+    if is_range:
         if len(parts) == 2:
             start, stop, step = parts[0], parts[1], 1.0
         elif len(parts) == 3:
@@ -48,9 +61,15 @@ def _sweep(text: str, cast):
             raise argparse.ArgumentTypeError("expected start:stop[:step]")
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError("need stop >= start and step > 0")
-        count = int((stop - start) / step + 1e-9) + 1
-        return [cast(start + i * step) for i in range(count)]
-    return [cast(float(p)) for p in text.split(",")]
+        span = (stop - start) / step + 1e-9
+        if span >= _MAX_SWEEP_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"a sweep takes at most {_MAX_SWEEP_POINTS} points")
+        parts = [start + i * step for i in range(int(span) + 1)]
+    elif len(parts) > _MAX_SWEEP_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"a sweep takes at most {_MAX_SWEEP_POINTS} points")
+    return [cast(v) for v in parts]
 
 
 def _float_sweep(text):
@@ -141,6 +160,22 @@ def _collect_overrides(args) -> dict:
     return overrides
 
 
+def _check_report_path(path: str) -> None:
+    """Raise the OSError a report write to ``path`` would hit, before the run.
+
+    Nothing is created or truncated here, so an earlier report survives a
+    run that fails; a write that still fails later raises ``IoFailure``.
+    """
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", directory)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+    target = path if os.path.exists(path) else directory
+    if not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, "not writable", target)
+
+
 def _emit(report, args) -> None:
     writer = emit_csv if args.format == "csv" else emit_json
     if args.output is None:
@@ -157,6 +192,8 @@ def _dispatch(args, cfg) -> int:
             print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
         return 0 if all(passed for _, passed, _ in rows) else 1
 
+    if args.output is not None:
+        _check_report_path(args.output)
     started = time.perf_counter()
     event_fh = None
     try:
@@ -194,6 +231,9 @@ def main(argv=None) -> int:
         return _dispatch(args, cfg)
     except (ConfigError, InfeasibleConfig, PlacementFailure) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, IoFailure) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -6,6 +6,7 @@ decision returns a new immutable deployment, so concurrent trials share no
 state.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,11 +139,17 @@ def form_group(mt_index: int, demand_rate: float, dep: Deployment,
         return CoopGroup((fallback,), mt_index, demand_rate, rate, True)
 
     gains = ch.gains[:, mt_index]
-    members = []
-    rate = 0.0
-    for b in sorted(eligible, key=lambda b: (-gains[b], b)):
-        members.append(b)
+    ranked = sorted(eligible, key=lambda b: (-gains[b], b))
+    if demand_rate == math.inf:
+        # every rate is finite, so no prefix meets an infinite demand and the
+        # walk below would always end at the capped group; rate only that one
+        members = ranked[:cfg.max_group_size]
         rate = group_rate(members, mt_index, dep, ch, cfg)
-        if rate >= demand_rate or len(members) == cfg.max_group_size:
-            break
+    else:
+        members = []
+        for b in ranked:
+            members.append(b)
+            rate = group_rate(members, mt_index, dep, ch, cfg)
+            if rate >= demand_rate or len(members) == cfg.max_group_size:
+                break
     return CoopGroup(tuple(members), mt_index, demand_rate, rate, rate < demand_rate)

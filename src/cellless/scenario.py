@@ -8,6 +8,7 @@ numbers bit for bit.
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -73,6 +74,12 @@ class ScenarioConfig:
         for name in _FLOAT_FIELDS:
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and strictly positive")
+        # the farthest BS-terminal pair lies a diagonal apart; a path-loss gain
+        # below the smallest normal double would underflow the channel to 0
+        farthest = max(math.sqrt(2.0) * self.area_side_m, self.reference_distance_m)
+        if (farthest / self.reference_distance_m) ** -self.path_loss_exponent < sys.float_info.min:
+            raise ConfigError("path loss underflows across the area: lower "
+                              "path_loss_exponent or area_side_m")
         if set(self.state_power_mw) != set(STATE_ORDER):
             raise ConfigError("state_power_mw needs exactly the four power states")
         powers = [self.state_power_mw[s] for s in STATE_ORDER]
@@ -245,9 +252,14 @@ def generate_deployment(cfg: ScenarioConfig, stream: RandomStream, n_mt: int = 1
 
     BS positions are i.i.d. uniform on the square, rejection-resampled so
     every BS keeps ``min_distance_m`` clearance from the other BSs and from
-    every terminal. The typical user sits at the exact center; additional
-    terminals are uniform. ``n_busy_bs`` stations are marked transferring
-    with one served terminal each (pure interferers); the rest start ready.
+    every terminal. Proposals are drawn in batches of the BSs still missing
+    and thinned a batch at a time; the result is bit-identical to thinning
+    one proposal at a time in draw order, where a proposal survives iff it
+    clears every terminal, every BS placed in earlier batches and every
+    earlier survivor of its own batch. The typical user sits at the exact
+    center; additional terminals are uniform. ``n_busy_bs`` stations are
+    marked transferring with one served terminal each (pure interferers);
+    the rest start ready.
     """
     rng = stream.rng()
     area = cfg.area_side_m
@@ -261,29 +273,32 @@ def generate_deployment(cfg: ScenarioConfig, stream: RandomStream, n_mt: int = 1
     min_sq = cfg.min_distance_m ** 2
     limit = 10 * cfg.n_bs ** 2
     attempts = 0
-    acc_x: list = []
-    acc_y: list = []
-    while len(acc_x) < cfg.n_bs:
-        need = min(cfg.n_bs - len(acc_x), limit - attempts)
+    taken = mt_positions            # every terminal, then each BS placed so far
+    goal = len(mt_positions) + cfg.n_bs
+    while len(taken) < goal:
+        need = min(goal - len(taken), limit - attempts)
         if need <= 0:
             raise PlacementFailure(
                 f"gave up placing {cfg.n_bs} BSs with {cfg.min_distance_m} m "
                 f"spacing after {limit} attempts")
         batch = rng.uniform(0.0, area, size=(need, 2))
         attempts += need
-        d_mt = ((batch[:, None, :] - mt_positions[None, :, :]) ** 2).sum(axis=2)
-        mt_ok = (d_mt >= min_sq).all(axis=1).tolist()
-        # proposals are thinned in draw order against everything accepted so far
-        for ok, (x, y) in zip(mt_ok, batch.tolist()):
-            if not ok:
-                continue
-            for px, py in zip(acc_x, acc_y):
-                if (px - x) ** 2 + (py - y) ** 2 < min_sq:
-                    break
-            else:
-                acc_x.append(x)
-                acc_y.append(y)
-    placed = np.column_stack([acc_x, acc_y])
+        # every squared distance is rounded as the scalar (px - x) ** 2 +
+        # (py - y) ** 2 would round it: two squares, then one sum
+        sq = (batch[:, None, :] - taken) ** 2
+        ok = (sq[..., 0] + sq[..., 1] >= min_sq).all(axis=1)
+        if need > 1:
+            # one axis at a time: a third of the 3-D form's time on a full batch
+            x, y = batch[:, :1], batch[:, 1:]
+            clash = (x - x.T) ** 2 + (y - y.T) ** 2 < min_sq
+            np.fill_diagonal(clash, False)
+            # only a proposal that clashes inside its batch depends on which
+            # earlier proposals survived; settle those in draw order
+            for i in np.flatnonzero(ok & clash.any(axis=1)):
+                if (ok[:i] & clash[i, :i]).any():
+                    ok[i] = False
+        taken = np.concatenate([taken, batch[ok]])
+    placed = taken[len(mt_positions):]
 
     states = [BsPowerState.READY] * cfg.n_bs
     loads = [0] * cfg.n_bs

@@ -1,10 +1,11 @@
+import argparse
 import io
 from pathlib import Path
 
 import pytest
 
-from cellless import (ExperimentReport, MtEnergyCurve, ScenarioConfig, cli,
-                      parse_csv, render_csv)
+from cellless import (ExperimentReport, IoFailure, MtEnergyCurve, ScenarioConfig,
+                      cli, parse_csv, render_csv)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,10 +70,68 @@ def test_workers_below_one_exit_2(capsys, command):
     ("--path_loss_exponent", "inf"),
     ("--state_power_mw", "10,50,80,inf"),
     ("--min_distance_m", "40"),
+    ("--path_loss_exponent", "500"),
 ])
 def test_bad_scenario_exits_2(capsys, flag, value):
     assert cli.main(["coverage", "--n_trials", "5", flag, value]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("flag,name", [
+    ("--output", "missing/x.csv"),
+    ("--output", ""),                   # the directory itself
+    ("--config", "missing.cfg"),
+    ("--event-log", "missing/e.log"),
+])
+def test_unusable_path_exits_2_before_any_trial(tmp_path, monkeypatch, capsys, flag, name):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(cli, "run_coverage", no_run)
+    assert cli.main(["coverage", flag, str(tmp_path / name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_failed_run_leaves_report_path_alone(tmp_path, capsys):
+    old = tmp_path / "old.csv"
+    old.write_text("earlier report\n")
+    new = tmp_path / "new.csv"
+    for out in (old, new):
+        assert cli.main(["coverage", "--n_trials", "5", "--min_distance_m", "40",
+                         "--output", str(out)]) == 2
+    assert old.read_text() == "earlier report\n"
+    assert not new.exists()
+
+
+def test_report_write_failure_exits_2(tmp_path, monkeypatch, capsys):
+    def failing_write(report, destination):
+        raise IoFailure("could not write report: disk full")
+
+    monkeypatch.setattr(cli, "emit_csv", failing_write)
+    assert cli.main(["coverage", "--n_trials", "5", "--output", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: could not write report: disk full\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--thresholds_db", "0:inf"],
+    ["coverage", "--thresholds_db", "-5,nan"],
+    ["coverage", "--thresholds_db", "0:1:1e-12"],
+    ["bs-energy", "--sleeping_counts", "inf"],
+])
+def test_unbounded_sweep_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_sweep_point_limit():
+    assert len(cli._float_sweep("0:9999")) == 10000
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._float_sweep("0:10000")
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._float_sweep(",".join(["1"] * 10001))
 
 
 def test_bs_energy_has_no_event_log(tmp_path):

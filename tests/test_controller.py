@@ -7,6 +7,7 @@ from cellless import (BsPowerState, BusyBs, CoopGroup, DomainError, EmptyGroup,
                       IllegalTransition, NoBsAvailable, RandomStream, form_group, generate_deployment, group_rate, nearest_awake,
                       nearest_candidates, oracle_min_group, sample_channel,
                       start_service, transition, transition_many)
+from cellless import controller
 from conftest import line_deployment, make_channel
 
 SLEEP = BsPowerState.SLEEPING
@@ -119,6 +120,27 @@ class TestFormGroup:
         group = form_group(0, math.inf, dep, ch, cfg)
         assert group.member_bs == (0, 1, 2)
         assert group.best_effort
+
+    def test_rates_only_prefixes_that_can_decide(self, cfg, monkeypatch):
+        dep = line_deployment([2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+        ch = make_channel([1e-3, 9e-4, 8e-4, 7e-4, 6e-4, 5e-4, 4e-4, 3e-4, 2e-4, 1e-4])
+        rated = []
+
+        def counting_rate(members, *args):
+            rated.append(tuple(members))
+            return group_rate(members, *args)
+
+        monkeypatch.setattr(controller, "group_rate", counting_rate)
+        capped = form_group(0, math.inf, dep, ch, cfg)
+        assert rated == [(0, 1, 2)]
+        # a demand between the one- and two-member rates is met at size 2
+        demand = (group_rate([0], 0, dep, ch, cfg) + group_rate([0, 1], 0, dep, ch, cfg)) / 2
+        rated.clear()
+        met = form_group(0, demand, dep, ch, cfg)
+        assert rated == [(0,), (0, 1)]
+        assert met.member_bs == (0, 1) and not met.best_effort
+        for group in (capped, met):
+            assert group.achieved_rate == group_rate(group.member_bs, 0, dep, ch, cfg)
 
     def test_never_returns_sleeping(self, cfg):
         states = (SLEEP,) * 6 + (BUSY,) + (SLEEP,) * 3

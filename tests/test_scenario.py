@@ -1,12 +1,67 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from cellless import (BsPowerState, ConfigError, PlacementFailure, RandomStream,
-                      ScenarioConfig, config_lines, generate_deployment,
+from cellless import (BsPowerState, ConfigError, Deployment, PlacementFailure,
+                      RandomStream, ScenarioConfig, config_lines, generate_deployment,
                       load_config, nearest_candidates, total_power_mw)
 from conftest import make_deployment
+
+
+def _reference_deployment(cfg, stream, n_mt=1):
+    """Sequential placement oracle: one proposal at a time, in draw order.
+
+    Draws exactly what `generate_deployment` draws and thins each proposal
+    against every terminal and every BS accepted before it, in scalar
+    arithmetic.
+    """
+    rng = stream.rng()
+    area = cfg.area_side_m
+    center = np.array([[area / 2.0, area / 2.0]])
+    if n_mt > 1:
+        mt_positions = np.vstack([center, rng.uniform(0.0, area, size=(n_mt - 1, 2))])
+    else:
+        mt_positions = center
+    min_sq = cfg.min_distance_m ** 2
+    limit = 10 * cfg.n_bs ** 2
+    attempts = 0
+    acc = []
+    while len(acc) < cfg.n_bs:
+        need = min(cfg.n_bs - len(acc), limit - attempts)
+        if need <= 0:
+            raise PlacementFailure(
+                f"gave up placing {cfg.n_bs} BSs with {cfg.min_distance_m} m "
+                f"spacing after {limit} attempts")
+        batch = rng.uniform(0.0, area, size=(need, 2))
+        attempts += need
+        for x, y in batch.tolist():
+            taken = mt_positions.tolist() + acc
+            if all((px - x) ** 2 + (py - y) ** 2 >= min_sq for px, py in taken):
+                acc.append((x, y))
+    states = [BsPowerState.READY] * cfg.n_bs
+    loads = [0] * cfg.n_bs
+    for b in rng.choice(cfg.n_bs, size=cfg.n_busy_bs, replace=False):
+        states[b] = BsPowerState.TRANSFERRING
+        loads[b] = 1
+    return Deployment(np.array(acc), mt_positions, tuple(states), tuple(loads))
+
+
+def _placed_as_reference(cfg, stream, n_mt):
+    """Both placements fail alike (None), or they agree bit for bit."""
+    try:
+        want = _reference_deployment(cfg, stream, n_mt)
+    except PlacementFailure as exc:
+        with pytest.raises(PlacementFailure, match=re.escape(str(exc))):
+            generate_deployment(cfg, stream, n_mt)
+        return None
+    got = generate_deployment(cfg, stream, n_mt)
+    assert got.bs_positions.tobytes() == want.bs_positions.tobytes()
+    assert got.mt_positions.tobytes() == want.mt_positions.tobytes()
+    assert got.bs_states == want.bs_states and got.bs_load == want.bs_load
+    return got
 
 
 class TestScenarioConfig:
@@ -37,6 +92,8 @@ class TestScenarioConfig:
         dict(min_distance_m=float("nan")),
         dict(bs_tx_power_mw=float("nan")),
         dict(noise_power_mw=float("inf")),
+        dict(path_loss_exponent=500.0),
+        dict(area_side_m=1e300),
         dict(state_power_mw={BsPowerState.SLEEPING: 10.0, BsPowerState.LISTENING: 50.0,
                              BsPowerState.READY: 80.0,
                              BsPowerState.TRANSFERRING: float("inf")}),
@@ -169,6 +226,19 @@ class TestGenerateDeployment:
         assert tuple(dep.mt_positions[0]) == (25.0, 25.0)
         assert np.all(dep.mt_positions >= 0.0) and np.all(dep.mt_positions <= 50.0)
 
+    @pytest.mark.parametrize("n_mt", [1, 10])
+    @pytest.mark.parametrize("overrides,n_trials", [
+        ({}, 200),
+        ({"min_distance_m": 3.0}, 60),
+        ({"min_distance_m": 5.0, "n_bs": 40}, 60),
+    ])
+    def test_batched_thinning_matches_sequential_reference(self, overrides, n_trials, n_mt):
+        cfg = ScenarioConfig(**overrides)
+        stream = RandomStream(11, "thinning")
+        placed = [_placed_as_reference(cfg, stream.for_trial(t), n_mt)
+                  for t in range(n_trials)]
+        assert any(dep is not None for dep in placed)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n_bs=st.integers(1, 20), n_mt=st.integers(1, 4),
            area=st.floats(1.0, 200.0), clearance=st.floats(0.001, 0.8),
@@ -177,9 +247,8 @@ class TestGenerateDeployment:
                                                 seed, trial):
         cfg = ScenarioConfig(area_side_m=area, n_bs=n_bs, n_busy_bs=0, n_candidates=1,
                              max_group_size=1, min_distance_m=area * clearance)
-        try:
-            dep = generate_deployment(cfg, RandomStream(seed, "prop", trial), n_mt=n_mt)
-        except PlacementFailure:
+        dep = _placed_as_reference(cfg, RandomStream(seed, "prop", trial), n_mt)
+        if dep is None:
             event("placement failed")
             return
         bs, mt = dep.bs_positions, dep.mt_positions
