@@ -176,6 +176,20 @@ def _label_key(label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _philox_key(seed: int, label: str) -> np.ndarray:
+    """The two Philox key words of a (seed, label) substream.
+
+    The seed word is exact. The label word keeps the value the key has always
+    had: numpy built ``[seed, hash]`` as float64 when the hash was at least
+    2**63, so such a hash keeps only its 53 leading significant bits. The few
+    hashes that round up to 2**64 wrap to 0.
+    """
+    word = _label_key(label)
+    if word >= 2 ** 63:
+        word = int(float(word)) % 2 ** 64
+    return np.array([seed, word], dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """Addressable counter-based substream of the run's root seed.
@@ -183,8 +197,11 @@ class RandomStream:
     The Philox key is (seed, hashed label) and the trial index lands in the
     high counter words, so the same (seed, label, trial) triple always
     yields the same draw sequence, distinct triples never overlap, and no
-    state is shared between substreams. ``rng()`` returns a fresh generator
-    positioned at the start of the substream.
+    state is shared between substreams. The label word of the key is the
+    first 64 bits of the label's sha256, rounded to 53 significant bits when
+    it is at least 2**63 (see ``_philox_key``); the seed word is exact.
+    ``rng()`` returns a fresh generator positioned at the start of the
+    substream; ``rngs()`` walks many trials with one reused generator.
     """
 
     seed: int
@@ -199,8 +216,31 @@ class RandomStream:
 
     def rng(self) -> np.random.Generator:
         bitgen = np.random.Philox(counter=[0, 0, self.trial, 0],
-                                  key=[self.seed, _label_key(self.label)])
+                                  key=_philox_key(self.seed, self.label))
         return np.random.Generator(bitgen)
+
+    def rngs(self, trials):
+        """Yield, for each trial index in ``trials``, a generator positioned
+        where ``self.for_trial(trial).rng()`` starts.
+
+        One generator is built and yielded every time: before each yield its
+        Philox state is reset to the trial's counter with an emptied buffer,
+        which gives the same draws as a new generator (Philox is counter
+        based) for a fraction of the cost. Finish a trial's draws before
+        taking the next one; the previous trial's position is gone.
+        """
+        key = _philox_key(self.seed, self.label)
+        bitgen = np.random.Philox(key=key)
+        gen = np.random.Generator(bitgen)
+        counter = np.zeros(4, dtype=np.uint64)
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": counter, "key": key},
+                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for trial in trials:
+            counter[2] = trial
+            bitgen.state = state
+            yield gen
 
 
 @dataclass(frozen=True)
@@ -247,8 +287,13 @@ class Deployment:
         return np.hypot(delta[:, 0], delta[:, 1])
 
 
-def generate_deployment(cfg: ScenarioConfig, stream: RandomStream, n_mt: int = 1) -> Deployment:
-    """Draw one random deployment.
+def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
+                        n_mt: int = 1) -> Deployment:
+    """Draw one random deployment from ``rng``.
+
+    ``rng`` is a substream's generator at its start, e.g. ``stream.rng()`` or
+    one taken from ``stream.rngs(...)``; placement draws from it in a fixed
+    order, so the same substream always gives the same deployment.
 
     BS positions are i.i.d. uniform on the square, rejection-resampled so
     every BS keeps ``min_distance_m`` clearance from the other BSs and from
@@ -261,7 +306,6 @@ def generate_deployment(cfg: ScenarioConfig, stream: RandomStream, n_mt: int = 1
     marked transferring with one served terminal each (pure interferers);
     the rest start ready.
     """
-    rng = stream.rng()
     area = cfg.area_side_m
     center = np.array([[area / 2.0, area / 2.0]])
     if n_mt > 1:

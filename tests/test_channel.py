@@ -45,7 +45,7 @@ class TestFading:
         assert draw_fading(stream) == draw_fading(stream)
 
     def test_sample_channel_reproducible_and_positive(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 0))
+        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
         a = sample_channel(dep, cfg, RandomStream(cfg.seed, "f", 0))
         b = sample_channel(dep, cfg, RandomStream(cfg.seed, "f", 0))
         assert np.array_equal(a.gains, b.gains)

@@ -173,7 +173,7 @@ class TestFormGroup:
         hits = 0
         for trial in range(100):
             base = RandomStream(small_cfg.seed, "roundtrip", trial)
-            dep = generate_deployment(small_cfg, base.child("deploy"))
+            dep = generate_deployment(small_cfg, base.child("deploy").rng())
             ch = sample_channel(dep, small_cfg, base.child("fading"))
             demand = float(base.child("demand").rng().uniform(0.0, 6.0))
             group = form_group(0, demand, dep, ch, small_cfg)
@@ -206,7 +206,7 @@ def test_greedy_matches_exhaustive_oracle(small_cfg):
     """Randomized equivalence: minimal-cardinality greedy vs subset search."""
     for trial in range(300):
         base = RandomStream(small_cfg.seed, "oracle-eq", trial)
-        dep = generate_deployment(small_cfg, base.child("deploy"))
+        dep = generate_deployment(small_cfg, base.child("deploy").rng())
         ch = sample_channel(dep, small_cfg, base.child("fading"))
         demand = float(base.child("demand").rng().uniform(0.0, 8.0))
         got = form_group(0, demand, dep, ch, small_cfg)

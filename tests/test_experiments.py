@@ -1,3 +1,4 @@
+import io
 import math
 from concurrent.futures import Future
 from dataclasses import replace
@@ -11,9 +12,44 @@ from cellless import (BsEnergyCurve, BsPowerState, CoverageCurve, InfeasibleConf
                       oracle_power_solve, run_bs_energy, run_coverage,
                       run_mt_energy, run_validation, spectral_efficiency,
                       uplink_joint_snr)
-from cellless.experiments import (bs_energy_trial, coverage_instance,
-                                  coverage_trial, power_validation_instance)
+from cellless.experiments import (DEFAULT_THRESHOLDS_DB, bs_energy_trial,
+                                  coverage_block, coverage_instance, coverage_trial,
+                                  mt_energy_block, power_validation_instance)
 from conftest import line_deployment, make_channel
+
+EPS = np.finfo(float).eps
+CUTS = [10.0 ** (t / 10.0) for t in DEFAULT_THRESHOLDS_DB]
+
+
+def _scalar_coverage(cfg, trials):
+    """Per trial through the scalar path: nearest BS, event-log line, SINRs."""
+    rows = []
+    for trial in trials:
+        dep, ch = coverage_instance(cfg, trial)
+        group = form_group(0, math.inf, dep, ch, cfg, share_busy=True)
+        members = ",".join(str(b) for b in group.member_bs)
+        line = (f"trial={trial} mt={group.served_mt} members={members} "
+                f"best_effort={str(group.best_effort).lower()}")
+        rows.append((nearest_candidates(dep, 0, 1)[0], line, coverage_trial(cfg, trial)))
+    return rows
+
+
+def _assert_sinrs_match(cfg, got, want):
+    # two reassociated sums of at most n_bs positive terms, then one division
+    rtol = 4 * cfg.n_bs * EPS
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rtol * w, (g, w)
+        assert [g >= c for c in CUTS] == [w >= c for c in CUTS]
+
+
+def _logged(cfg, start, stop):
+    log = io.StringIO()
+    sinr = experiments._coverage_chunk(cfg, start, stop, event_log=log)
+    return sinr, log.getvalue().splitlines()
+
+
+def _mt_sizes(cfg):
+    return tuple(range(1, min(5, cfg.n_candidates) + 1))
 
 
 class TestCoverage:
@@ -68,6 +104,74 @@ class TestCoverage:
         import io
         with pytest.raises(ValueError):
             run_coverage(replace(cfg, n_trials=8), event_log=io.StringIO(), workers=2)
+
+
+class TestBlockKernels:
+    """The block kernels against the scalar references, trial by trial."""
+
+    N_EDGE = 513
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        from cellless import ScenarioConfig
+        cfg = ScenarioConfig(n_bs=12, n_busy_bs=5, n_candidates=6, seed=7)
+        coverage = _scalar_coverage(cfg, range(self.N_EDGE))
+        mt = np.array([mt_energy_trial(cfg, _mt_sizes(cfg), t) for t in range(self.N_EDGE)])
+        return cfg, coverage, mt
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"n_busy_bs": 0},                                   # no interferer at all
+        {"n_busy_bs": 50},
+        {"n_candidates": 50, "max_group_size": 5},
+        {"n_bs": 1, "n_busy_bs": 1, "n_candidates": 1, "max_group_size": 1},
+    ])
+    def test_blocks_match_scalar_trials(self, overrides):
+        from cellless import ScenarioConfig
+        cfg = ScenarioConfig(seed=9, **overrides)
+        start, stop = 3, 43
+        nearest, members, sinr = coverage_block(cfg, start, stop)
+        for i, trial in enumerate(range(start, stop)):
+            dep, ch = coverage_instance(cfg, trial)
+            assert nearest[i] == nearest_candidates(dep, 0, 1)[0]
+            group = form_group(0, math.inf, dep, ch, cfg, share_busy=True)
+            assert tuple(members[i]) == group.member_bs
+            _assert_sinrs_match(cfg, sinr[i], coverage_trial(cfg, trial))
+        sizes = _mt_sizes(cfg)
+        want = np.array([mt_energy_trial(cfg, sizes, t) for t in range(start, stop)])
+        assert mt_energy_block(cfg, sizes, start, stop).tobytes() == want.tobytes()
+
+    def test_block_edges(self, oracle):
+        cfg, coverage, mt = oracle
+        sizes = _mt_sizes(cfg)
+        # 513 trials: two full blocks and a one-trial block
+        whole, lines = _logged(cfg, 0, self.N_EDGE)
+        assert lines == [line for _, line, _ in coverage]
+        for got, (_, _, want) in zip(whole, coverage):
+            _assert_sinrs_match(cfg, got, want)
+        rows = experiments._mt_energy_chunk(cfg, sizes, 0, self.N_EDGE)
+        assert rows.tobytes() == mt.tobytes()
+        # shorter chunks and one that starts mid-block give the same rows
+        for start, stop in ((0, 1), (0, 256), (0, 257), (100, self.N_EDGE)):
+            sinr, part = _logged(cfg, start, stop)
+            assert sinr.tobytes() == whole[start:stop].tobytes()
+            assert part == lines[start:stop]
+            rows = experiments._mt_energy_chunk(cfg, sizes, start, stop)
+            assert rows.tobytes() == mt[start:stop].tobytes()
+
+    def test_worker_count_at_block_edges(self, oracle):
+        cfg = replace(oracle[0], n_trials=self.N_EDGE)
+        assert run_coverage(cfg, workers=1) == run_coverage(cfg, workers=2)
+
+    def test_overflowing_power_logs_the_scalar_rule(self, cfg):
+        # P * sum(g) overflows to inf, so the group SINR is inf or nan and
+        # form_group's rate < demand is false; any RuntimeWarning fails here
+        big = replace(cfg, bs_tx_power_mw=1e308, n_trials=60)
+        log = io.StringIO()
+        run_coverage(big, event_log=log)
+        lines = log.getvalue().splitlines()
+        assert lines == [line for _, line, _ in _scalar_coverage(big, range(60))]
+        assert any(line.endswith("best_effort=false") for line in lines)
 
 
 class TestBsEnergy:
@@ -256,6 +360,13 @@ class TestCurveTypes:
     def test_bs_curve_rejects_key_mismatch(self):
         with pytest.raises(ValueError):
             BsEnergyCurve((0, 1), (2, 3), {2: (0.0, 0.1)}, {2: (0.0, 0.0)}, 10, 5)
+
+
+def test_validation_reports_a_zero_rate_target(cfg):
+    # at exponent 150 the baseline uplink rate log2(1 + snr) rounds to 0
+    rows = run_validation(replace(cfg, path_loss_exponent=150.0, n_trials=20),
+                          n_instances=20)
+    assert ("power-solve", False, "instance 0: baseline rate rounds to 0") in rows
 
 
 def test_validation_suites_pass(cfg):

@@ -8,7 +8,18 @@ from hypothesis import strategies as st
 from cellless import (BsPowerState, ConfigError, Deployment, PlacementFailure,
                       RandomStream, ScenarioConfig, config_lines, generate_deployment,
                       load_config, nearest_candidates, total_power_mw)
+from cellless.scenario import _label_key, _philox_key
 from conftest import make_deployment
+
+#: Every substream label the experiments and the validation suites draw from.
+CODE_LABELS = tuple(
+    f"{experiment}/{part}"
+    for experiment, parts in (("coverage", ("deploy", "fading")),
+                              ("mt-energy", ("deploy", "fading")),
+                              ("bs-energy", ("deploy", "fading", "sleep")),
+                              ("validate/grouping", ("deploy", "fading", "demand")),
+                              ("validate/power", ("deploy", "fading", "size")))
+    for part in parts)
 
 
 def _reference_deployment(cfg, stream, n_mt=1):
@@ -55,9 +66,9 @@ def _placed_as_reference(cfg, stream, n_mt):
         want = _reference_deployment(cfg, stream, n_mt)
     except PlacementFailure as exc:
         with pytest.raises(PlacementFailure, match=re.escape(str(exc))):
-            generate_deployment(cfg, stream, n_mt)
+            generate_deployment(cfg, stream.rng(), n_mt)
         return None
-    got = generate_deployment(cfg, stream, n_mt)
+    got = generate_deployment(cfg, stream.rng(), n_mt)
     assert got.bs_positions.tobytes() == want.bs_positions.tobytes()
     assert got.mt_positions.tobytes() == want.mt_positions.tobytes()
     assert got.bs_states == want.bs_states and got.bs_load == want.bs_load
@@ -175,10 +186,59 @@ class TestRandomStream:
         assert stream.for_trial(7).trial == 7
         assert stream.for_trial(7).child("a") != stream.for_trial(8).child("a")
 
+    def test_key_words_match_the_list_key_below_2_53(self):
+        # the key rng() built before: numpy turns the list into float64 when
+        # the hash is at least 2**63, which the new helper must reproduce
+        seeds = [0, 1, 7, 2 ** 32, 2 ** 53 - 1]
+        seeds += np.random.default_rng(3).integers(0, 2 ** 53, size=20).tolist()
+        for label in CODE_LABELS:
+            for seed in seeds:
+                old = np.random.Philox(key=[seed, _label_key(label)])
+                want = old.state["state"]["key"]
+                assert np.array_equal(_philox_key(seed, label), want), (label, seed)
+
+    def test_seeds_beyond_2_53_stay_distinct(self):
+        a = RandomStream(2 ** 60, "coverage/fading", 0).rng().random(8)
+        b = RandomStream(2 ** 60 + 1, "coverage/fading", 0).rng().random(8)
+        assert not np.array_equal(a, b)
+        assert _philox_key(2 ** 64 - 1, "coverage/fading")[0] == 2 ** 64 - 1
+
+
+class TestReusedSubstreams:
+    @pytest.mark.parametrize("label", ["coverage/deploy", "coverage/fading"])
+    def test_draws_equal_fresh_generators(self, label):
+        # one label hashes below 2**63 and the other at or above it
+        assert (_label_key("coverage/deploy") < 2 ** 63 <= _label_key("coverage/fading"))
+        trials = [0, 5, 2, 2, 9, 0, 2 ** 32, 2 ** 32 + 7, 3, 2 ** 40, 1]
+        stream = RandomStream(13, label)
+        for trial, rng in zip(trials, stream.rngs(trials)):
+            want = RandomStream(13, label, trial).rng()
+            assert np.array_equal(rng.uniform(0.0, 50.0, size=7),
+                                  want.uniform(0.0, 50.0, size=7))
+            assert np.array_equal(rng.exponential(1.0, size=(5, 1)),
+                                  want.exponential(1.0, size=(5, 1)))
+
+    def test_buffered_state_is_cleared(self):
+        # each trial ends on a 32-bit draw, which leaves half a word and a
+        # partly used buffer behind; the next trial's first raw 32-bit draw
+        # would return that half word if the reset kept it
+        stream = RandomStream(21, "validate/power/size")
+        trials = [4, 4, 1, 4]
+        for trial, rng in zip(trials, stream.rngs(trials)):
+            want = stream.for_trial(trial).rng()
+            for draw in (lambda g: g.integers(0, 2 ** 32, dtype=np.uint32),
+                         lambda g: g.random(3),
+                         lambda g: g.integers(0, 7, dtype=np.uint32)):
+                assert np.array_equal(draw(rng), draw(want))
+
+    def test_one_generator_is_reused(self):
+        rngs = RandomStream(1, "exp").rngs(range(3))
+        assert next(rngs) is next(rngs)
+
 
 class TestGenerateDeployment:
     def test_reference_scenario_layout(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 0))
+        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
         assert dep.n_bs == 50 and dep.n_mt == 1
         assert np.all(dep.bs_positions >= 0.0) and np.all(dep.bs_positions <= 50.0)
         assert tuple(dep.mt_positions[0]) == (25.0, 25.0)
@@ -190,7 +250,7 @@ class TestGenerateDeployment:
                    for b in rest)
 
     def test_exclusion_radius_holds(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 1), n_mt=4)
+        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 1).rng(), n_mt=4)
         pos = dep.bs_positions
         diff = pos[:, None, :] - pos[None, :, :]
         dist = np.hypot(diff[..., 0], diff[..., 1])
@@ -202,15 +262,15 @@ class TestGenerateDeployment:
 
     def test_bit_identical_repeats(self, cfg):
         stream = RandomStream(cfg.seed, "t", 2)
-        a = generate_deployment(cfg, stream)
-        b = generate_deployment(cfg, stream)
+        a = generate_deployment(cfg, stream.rng())
+        b = generate_deployment(cfg, stream.rng())
         assert np.array_equal(a.bs_positions, b.bs_positions)
         assert np.array_equal(a.mt_positions, b.mt_positions)
         assert a.bs_states == b.bs_states and a.bs_load == b.bs_load
 
     def test_single_ready_bs(self):
         cfg = ScenarioConfig(n_bs=1, n_busy_bs=0, n_candidates=1, max_group_size=1)
-        dep = generate_deployment(cfg, RandomStream(1, "t", 0))
+        dep = generate_deployment(cfg, RandomStream(1, "t", 0).rng())
         assert dep.bs_states == (BsPowerState.READY,)
         assert dep.bs_load == (0,)
 
@@ -218,10 +278,10 @@ class TestGenerateDeployment:
         # 50 points with 40 m pairwise clearance cannot fit a 50 m square
         cfg = ScenarioConfig(min_distance_m=40.0)
         with pytest.raises(PlacementFailure):
-            generate_deployment(cfg, RandomStream(1, "t", 0))
+            generate_deployment(cfg, RandomStream(1, "t", 0).rng())
 
     def test_extra_terminals_uniform_user_centered(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 3), n_mt=10)
+        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 3).rng(), n_mt=10)
         assert dep.n_mt == 10
         assert tuple(dep.mt_positions[0]) == (25.0, 25.0)
         assert np.all(dep.mt_positions >= 0.0) and np.all(dep.mt_positions <= 50.0)
@@ -268,8 +328,8 @@ class TestGenerateDeployment:
         stream = RandomStream(42, "uniformity")
         total = np.zeros(2)
         n = 100000
-        for trial in range(n):
-            total += generate_deployment(cfg, stream.for_trial(trial)).bs_positions[0]
+        for rng in stream.rngs(range(n)):
+            total += generate_deployment(cfg, rng).bs_positions[0]
         mean = total / n
         assert abs(mean[0] - 25.0) < 0.25
         assert abs(mean[1] - 25.0) < 0.25
@@ -289,13 +349,13 @@ class TestNearestCandidates:
         assert nearest_candidates(dep, 0, 2) == [3, 7]
 
     def test_matches_exhaustive_sort(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(3, "t", 0))
+        dep = generate_deployment(cfg, RandomStream(3, "t", 0).rng())
         d = dep.bs_distances(0)
         want = sorted(range(cfg.n_bs), key=lambda b: (d[b], b))[:10]
         assert nearest_candidates(dep, 0, 10) == want
 
     def test_prefix_stable(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(4, "t", 0))
+        dep = generate_deployment(cfg, RandomStream(4, "t", 0).rng())
         full = nearest_candidates(dep, 0, 25)
         for k in (1, 5, 10):
             assert nearest_candidates(dep, 0, k) == full[:k]
