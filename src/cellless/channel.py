@@ -121,8 +121,15 @@ def uplink_joint_snr(mt_power_mw: float, members, dep: Deployment,
     return LinkBudget(signal, 0.0, cfg.noise_power_mw).sinr
 
 
+_LN2 = math.log(2.0)
+
+
 def spectral_efficiency(sinr: float) -> float:
-    """Shannon spectral efficiency log2(1 + sinr) in bit/s/Hz."""
+    """Shannon spectral efficiency log2(1 + sinr) in bit/s/Hz.
+
+    Computed as ``log1p(sinr) / ln 2``: ``1.0 + sinr`` would round to 1, and
+    the rate to 0, for any SINR below about 1e-16.
+    """
     if sinr < 0.0:
         raise DomainError("sinr must be non-negative")
-    return math.log2(1.0 + sinr)
+    return math.log1p(sinr) / _LN2

@@ -13,11 +13,17 @@ import numpy as np
 
 from .channel import ChannelSample, downlink_sinr, spectral_efficiency
 from .errors import BusyBs, DomainError, EmptyGroup, IllegalTransition, NoBsAvailable
-from .scenario import BsPowerState, Deployment, ScenarioConfig, nearest_candidates
+from .scenario import (STATE_CODE, STATE_ORDER, BsPowerState, Deployment, ScenarioConfig,
+                       nearest_candidates)
 
 
 #: States in which a BS may join a new group (once woken to transferring).
 IDLE_STATES = frozenset({BsPowerState.READY, BsPowerState.LISTENING})
+
+# IDLE_STATES looked up by state code
+_IS_IDLE = np.array([s in IDLE_STATES for s in STATE_ORDER])
+_SLEEPING = STATE_CODE[BsPowerState.SLEEPING]
+_TRANSFERRING = STATE_CODE[BsPowerState.TRANSFERRING]
 
 _LEGAL_TRANSITIONS = frozenset({
     (BsPowerState.SLEEPING, BsPowerState.LISTENING),
@@ -28,12 +34,6 @@ _LEGAL_TRANSITIONS = frozenset({
     (BsPowerState.TRANSFERRING, BsPowerState.READY),
     (BsPowerState.READY, BsPowerState.SLEEPING),
 })
-
-_WAKE_NEXT = {
-    BsPowerState.SLEEPING: BsPowerState.LISTENING,
-    BsPowerState.LISTENING: BsPowerState.READY,
-    BsPowerState.READY: BsPowerState.TRANSFERRING,
-}
 
 
 @dataclass(frozen=True)
@@ -66,32 +66,33 @@ def transition(dep: Deployment, bs: int, new_state: BsPowerState) -> Deployment:
 
 def transition_many(dep: Deployment, bs_ids, new_state: BsPowerState) -> Deployment:
     """Apply the same legal step to several BSs with one deployment rebuild."""
-    states = list(dep.bs_states)
+    states = dep.bs_states.copy()
     for bs in bs_ids:
         bs = int(bs)
         if dep.bs_load[bs] > 0:
             # loaded implies transferring; any step would abandon its terminal
             raise BusyBs(f"BS {bs} still serves {dep.bs_load[bs]} terminal(s)")
-        if (states[bs], new_state) not in _LEGAL_TRANSITIONS:
-            raise IllegalTransition(f"{states[bs].value} -> {new_state.value}")
-        states[bs] = new_state
-    return Deployment(dep.bs_positions, dep.mt_positions, tuple(states), dep.bs_load)
+        current = STATE_ORDER[states[bs]]
+        if (current, new_state) not in _LEGAL_TRANSITIONS:
+            raise IllegalTransition(f"{current.value} -> {new_state.value}")
+        states[bs] = STATE_CODE[new_state]
+    return Deployment(dep.bs_positions, dep.mt_positions, states, dep.bs_load)
 
 
 def start_service(dep: Deployment, group: CoopGroup) -> Deployment:
     """Walk every member up to transferring and count its served terminal.
 
-    Wake-up hops follow the legal adjacency chain; a member already
-    transferring for another terminal just takes the extra load (the
-    congestion exception).
+    Every state reaches transferring through legal adjacent wake-up hops
+    (sleeping -> listening -> ready -> transferring), so each member is set
+    to transferring directly; a member already transferring for another
+    terminal just takes the extra load (the congestion exception).
     """
-    states = list(dep.bs_states)
-    loads = list(dep.bs_load)
-    for bs in group.member_bs:
-        while states[bs] is not BsPowerState.TRANSFERRING:
-            states[bs] = _WAKE_NEXT[states[bs]]
-        loads[bs] += 1
-    return Deployment(dep.bs_positions, dep.mt_positions, tuple(states), tuple(loads))
+    members = list(group.member_bs)    # distinct, as CoopGroup checks
+    states = dep.bs_states.copy()
+    loads = dep.bs_load.copy()
+    states[members] = _TRANSFERRING
+    loads[members] += 1
+    return Deployment(dep.bs_positions, dep.mt_positions, states, loads)
 
 
 def group_rate(members, mt_index: int, dep: Deployment,
@@ -101,10 +102,11 @@ def group_rate(members, mt_index: int, dep: Deployment,
 
 
 def nearest_awake(dep: Deployment, mt_index: int) -> int:
-    for b in np.argsort(dep.bs_distances(mt_index), kind="stable"):
-        if dep.bs_states[int(b)] is not BsPowerState.SLEEPING:
-            return int(b)
-    raise NoBsAvailable("every BS is sleeping")
+    order = np.argsort(dep.bs_distances(mt_index), kind="stable")
+    awake = order[dep.bs_states[order] != _SLEEPING]
+    if not len(awake):
+        raise NoBsAvailable("every BS is sleeping")
+    return int(awake[0])
 
 
 def form_group(mt_index: int, demand_rate: float, dep: Deployment,
@@ -127,11 +129,9 @@ def form_group(mt_index: int, demand_rate: float, dep: Deployment,
     if not demand_rate >= 0:
         raise DomainError("demand_rate must be non-negative")
     candidates = nearest_candidates(dep, mt_index, cfg.n_candidates)
-    if share_busy:
-        eligible = [b for b in candidates
-                    if dep.bs_states[b] is not BsPowerState.SLEEPING]
-    else:
-        eligible = [b for b in candidates if dep.bs_states[b] in IDLE_STATES]
+    codes = dep.bs_states[candidates]
+    keep = codes != _SLEEPING if share_busy else _IS_IDLE[codes]
+    eligible = [b for b, k in zip(candidates, keep.tolist()) if k]
 
     if not eligible:
         fallback = nearest_awake(dep, mt_index)

@@ -33,12 +33,12 @@ import numpy as np
 
 from .channel import (downlink_sinr, path_loss, sample_channel, spectral_efficiency,
                       uplink_joint_snr)
-from .controller import (_LEGAL_TRANSITIONS, IDLE_STATES, CoopGroup, form_group,
-                         group_rate, nearest_awake, start_service, transition,
-                         transition_many)
+from .controller import (IDLE_STATES, CoopGroup, form_group, group_rate, nearest_awake,
+                         start_service, transition, transition_many)
 from .errors import BusyBs, IllegalTransition, InfeasibleConfig
-from .scenario import (BsPowerState, Deployment, RandomStream, ScenarioConfig,
-                       generate_deployment, nearest_candidates, total_power_mw)
+from .scenario import (STATE_CODE, STATE_ORDER, BsPowerState, Deployment, RandomStream,
+                       ScenarioConfig, generate_deployment, nearest_candidates,
+                       total_power_mw)
 
 DEFAULT_THRESHOLDS_DB = tuple(float(t) for t in range(-15, 6))
 DEFAULT_SLEEPING_COUNTS = tuple(range(0, 11))
@@ -355,8 +355,8 @@ def bs_energy_trial(cfg: ScenarioConfig, sleeping_counts, group_sizes,
         dep = dep0
         for mt in range(n_users):
             dep = start_service(dep, form_group(mt, math.inf, dep, ch, form_cfg))
-        off_duty = [int(b) for b in perm
-                    if dep.bs_states[int(b)] is not BsPowerState.TRANSFERRING]
+        off_duty = perm[dep.bs_states[perm]
+                        != STATE_CODE[BsPowerState.TRANSFERRING]].tolist()
         # baseline keeps every off-duty BS listening; sleepers step down from there
         baseline = transition_many(dep, off_duty, BsPowerState.LISTENING)
         p_base = total_power_mw(baseline, cfg)
@@ -482,23 +482,38 @@ def oracle_min_group(candidates, demand: float, dep, ch, cfg,
     """Exhaustive reference for downlink group formation over a small candidate set.
 
     Enumerates every idle subset up to the size cap. The smallest subset
-    meeting the demand wins, ties broken by higher rate then lexicographic
-    members; when nothing qualifies, the best full-size subset is returned
-    best-effort; with no idle candidate at all, the nearest awake BS serves.
+    meeting the demand wins, ties broken by higher rate, then by the larger
+    exact sum of member gains, then by lexicographic members; when nothing
+    qualifies, the best full-size subset is returned best-effort; with no
+    idle candidate at all, the nearest awake BS serves.
+
+    Idle members interfere with nobody, so among subsets of one size the
+    true rate grows with the member-gain sum; two subsets whose float rates
+    round equal are therefore told apart by that sum, added exactly.
     """
+    # imported here, not at the top: only the oracle needs exact sums, and
+    # the module would add about 0.3 MB and 3 ms to every command's start-up
+    from fractions import Fraction
+
     if len(candidates) > 12:
         raise ValueError("exhaustive search is limited to 12 candidates")
-    idle = sorted(b for b in candidates if dep.bs_states[b] in IDLE_STATES)
+    idle = sorted(b for b in candidates if STATE_ORDER[dep.bs_states[b]] in IDLE_STATES)
     if not idle:
         fallback = nearest_awake(dep, mt_index)
         rate = group_rate([fallback], mt_index, dep, ch, cfg)
         return CoopGroup((fallback,), mt_index, demand, rate, True)
 
+    gains = ch.gains[:, mt_index]
+
+    def exact_gain(members):
+        return sum(Fraction(float(gains[b])) for b in members)
+
     def best_of(combos):
         top_rate, top_members = -1.0, None
         for members in combos:
             rate = group_rate(members, mt_index, dep, ch, cfg)
-            if rate > top_rate:
+            if rate > top_rate or (
+                    rate == top_rate and exact_gain(members) > exact_gain(top_members)):
                 top_rate, top_members = rate, members
         return top_rate, top_members
 
@@ -568,10 +583,8 @@ def power_validation_instance(cfg: ScenarioConfig, index: int):
     return dep, ch, group, target, closed
 
 
-def run_validation(cfg: ScenarioConfig, n_instances: int = 1000) -> list:
-    """Run the built-in oracle suites; returns (name, passed, detail) rows."""
-    results = []
-
+def grouping_check(cfg: ScenarioConfig, n_instances: int) -> tuple:
+    """The greedy controller against the exhaustive oracle: a validation row."""
     mismatches = []
     for i in range(n_instances):
         dep, ch, demand = grouping_validation_instance(cfg, i)
@@ -580,23 +593,26 @@ def run_validation(cfg: ScenarioConfig, n_instances: int = 1000) -> list:
                                 demand, dep, ch, cfg)
         if set(got.member_bs) != set(want.member_bs):
             mismatches.append(i)
-    results.append(("grouping-oracle", not mismatches,
-                    f"{n_instances - len(mismatches)}/{n_instances} matched"))
+    return ("grouping-oracle", not mismatches,
+            f"{n_instances - len(mismatches)}/{n_instances} matched")
 
+
+def power_check(cfg: ScenarioConfig, n_instances: int) -> tuple:
+    """The closed-form terminal power against bisection: a validation row."""
     worst = 0.0
     for i in range(n_instances):
         dep, ch, group, target, closed = power_validation_instance(cfg, i)
         if not target > 0:
             # no power reaches a zero rate target, so the bisection has no root
-            results.append(("power-solve", False,
-                            f"instance {i}: baseline rate rounds to 0"))
-            break
+            return ("power-solve", False, f"instance {i}: baseline rate rounds to 0")
         solved = oracle_power_solve(group, target, dep, ch, cfg)
         worst = max(worst, abs(solved - closed) / closed)
-    else:
-        results.append(("power-solve", worst < 1e-9,
-                        f"max relative error {worst:.3e}"))
+    return ("power-solve", worst < 1e-9, f"max relative error {worst:.3e}")
 
+
+def run_validation(cfg: ScenarioConfig, n_instances: int = 1000) -> list:
+    """Run the built-in oracle suites; returns (name, passed, detail) rows."""
+    results = [grouping_check(cfg, n_instances), power_check(cfg, n_instances)]
     results.append(("state-machine", _state_machine_ok(), "16 transition pairs checked"))
 
     curve = run_bs_energy(cfg)
@@ -619,21 +635,29 @@ def run_validation(cfg: ScenarioConfig, n_instances: int = 1000) -> list:
 
 
 def _state_machine_ok() -> bool:
+    """Every (state, target) pair against the rule the controller documents.
+
+    The expected set is derived here, not read from the controller's table:
+    a step is legal iff the two states are adjacent in ``STATE_ORDER``, or it
+    is ready -> sleeping. A legal step must land on its target.
+    """
     pos = np.array([[1.0, 1.0]])
     mts = np.array([[5.0, 5.0]])
-    for current in BsPowerState:
-        for target in BsPowerState:
-            dep = Deployment(pos, mts, (current,), (0,))
+    for current in STATE_ORDER:
+        for target in STATE_ORDER:
+            legal = (abs(STATE_CODE[current] - STATE_CODE[target]) == 1
+                     or (current, target) == (BsPowerState.READY, BsPowerState.SLEEPING))
+            dep = Deployment(pos, mts, (STATE_CODE[current],), (0,))
             try:
-                transition(dep, 0, target)
-                ok = (current, target) in _LEGAL_TRANSITIONS
+                landed = transition(dep, 0, target).bs_states[0] == STATE_CODE[target]
+                ok = legal and landed
             except IllegalTransition:
-                ok = (current, target) not in _LEGAL_TRANSITIONS
+                ok = not legal
             if not ok:
                 return False
     # a loaded BS must refuse every step
-    loaded = Deployment(pos, mts, (BsPowerState.TRANSFERRING,), (1,))
-    for target in BsPowerState:
+    loaded = Deployment(pos, mts, (STATE_CODE[BsPowerState.TRANSFERRING],), (1,))
+    for target in STATE_ORDER:
         try:
             transition(loaded, 0, target)
             return False

@@ -29,6 +29,13 @@ class BsPowerState(Enum):
 
 STATE_ORDER = tuple(BsPowerState)
 
+#: The int code of each state in a deployment's ``bs_states`` array: its
+#: position in ``STATE_ORDER``, so ``STATE_ORDER[code]`` decodes it.
+STATE_CODE = {state: code for code, state in enumerate(STATE_ORDER)}
+
+_READY = STATE_CODE[BsPowerState.READY]
+_TRANSFERRING = STATE_CODE[BsPowerState.TRANSFERRING]
+
 _INT_FIELDS = ("n_bs", "n_busy_bs", "n_candidates", "max_group_size", "n_trials", "seed")
 _FLOAT_FIELDS = ("area_side_m", "bs_tx_power_mw", "mt_tx_power_mw", "path_loss_exponent",
                  "reference_distance_m", "noise_power_mw", "min_distance_m")
@@ -243,35 +250,59 @@ class RandomStream:
             yield gen
 
 
+def _readonly_copy(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values``; an array the caller passed stays writable."""
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def _integers(values, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    # an enum state lands here as an object array, a fraction as a float one
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, not {arr.dtype}")
+    return arr
+
+
 @dataclass(frozen=True)
 class Deployment:
-    """Immutable snapshot of geometry, BS power states, and serving load."""
+    """Immutable snapshot of geometry, BS power states, and serving load.
+
+    Every field is a read-only array copied from what the constructor was
+    given. ``bs_states`` holds one int8 code per BS, the state's index in
+    ``STATE_ORDER`` (``STATE_CODE[state]``; ``STATE_ORDER[code]`` decodes
+    it), so an element compares equal to a code and never to a
+    ``BsPowerState``. ``bs_load`` counts the terminals each BS serves, and
+    ``transferring_mask`` marks the BSs whose code is transferring.
+    """
 
     bs_positions: np.ndarray        # (n_bs, 2) meters
     mt_positions: np.ndarray        # (n_mt, 2) meters, typical user at row 0
-    bs_states: tuple
-    bs_load: tuple                  # terminals currently served, per BS
+    bs_states: np.ndarray           # (n_bs,) int8 codes into STATE_ORDER
+    bs_load: np.ndarray             # (n_bs,) terminals currently served
 
     def __post_init__(self):
-        bs_pos = np.asarray(self.bs_positions, dtype=float)
-        mt_pos = np.asarray(self.mt_positions, dtype=float)
-        object.__setattr__(self, "bs_positions", bs_pos)
-        object.__setattr__(self, "mt_positions", mt_pos)
-        object.__setattr__(self, "bs_states", tuple(self.bs_states))
-        object.__setattr__(self, "bs_load", tuple(self.bs_load))
-        if len(self.bs_states) != len(bs_pos) or len(self.bs_load) != len(bs_pos):
+        bs_pos = _readonly_copy(self.bs_positions, float)
+        codes = _integers(self.bs_states, "bs_states")
+        load = _readonly_copy(_integers(self.bs_load, "bs_load"), np.int64)
+        if codes.shape != (len(bs_pos),) or load.shape != (len(bs_pos),):
             raise ValueError("per-BS fields must have one entry per base station")
-        transferring = []
-        for state, load in zip(self.bs_states, self.bs_load):
-            is_transferring = state is BsPowerState.TRANSFERRING
-            if load > 0 and not is_transferring:
-                raise ValueError("a loaded BS must be in the transferring state")
-            transferring.append(is_transferring)
-        mask = np.array(transferring, dtype=bool)
+        states = _readonly_copy(codes, np.int8)
+        # a negative code reads as 128 or more through uint8, and a wide code
+        # that the int8 copy wrapped no longer equals its copy
+        if (np.count_nonzero(states.view(np.uint8) >= len(STATE_ORDER))
+                or (codes.dtype != np.int8 and np.count_nonzero(states != codes))):
+            raise ValueError(f"state codes must lie in [0, {len(STATE_ORDER)})")
+        mask = states == _TRANSFERRING
+        if np.count_nonzero(mask < (load > 0)):     # loaded, not transferring
+            raise ValueError("a loaded BS must be in the transferring state")
         mask.setflags(write=False)
+        object.__setattr__(self, "bs_positions", bs_pos)
+        object.__setattr__(self, "mt_positions", _readonly_copy(self.mt_positions, float))
+        object.__setattr__(self, "bs_states", states)
+        object.__setattr__(self, "bs_load", load)
         object.__setattr__(self, "transferring_mask", mask)
-        bs_pos.setflags(write=False)
-        mt_pos.setflags(write=False)
 
     @property
     def n_bs(self) -> int:
@@ -301,10 +332,16 @@ def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
     and thinned a batch at a time; the result is bit-identical to thinning
     one proposal at a time in draw order, where a proposal survives iff it
     clears every terminal, every BS placed in earlier batches and every
-    earlier survivor of its own batch. The typical user sits at the exact
-    center; additional terminals are uniform. ``n_busy_bs`` stations are
-    marked transferring with one served terminal each (pure interferers);
-    the rest start ready.
+    earlier survivor of its own batch. Only proposals that clash inside
+    their batch need settling in draw order. A batch whose clash matrix
+    holds exactly ``need`` clashes skips that step, exactly: each proposal
+    clashes with itself (distance 0 < ``min_distance_m ** 2``, positive as
+    the config requires), so those are the diagonal and no proposal depends
+    on another. (Were the square to underflow to 0, nothing would clash and
+    the settle step would run and change nothing.) The typical user sits at
+    the exact center; additional terminals are uniform. ``n_busy_bs``
+    stations, picked by one ``rng.choice``, are marked transferring with
+    one served terminal each (pure interferers); the rest start ready.
     """
     area = cfg.area_side_m
     center = np.array([[area / 2.0, area / 2.0]])
@@ -329,27 +366,37 @@ def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
         attempts += need
         # every squared distance is rounded as the scalar (px - x) ** 2 +
         # (py - y) ** 2 would round it: two squares, then one sum
-        sq = (batch[:, None, :] - taken) ** 2
-        ok = (sq[..., 0] + sq[..., 1] >= min_sq).all(axis=1)
+        if len(taken) == 1:
+            d = batch - taken
+            d *= d
+            ok = d[:, 0] + d[:, 1] >= min_sq
+        else:
+            sq = (batch[:, None, :] - taken) ** 2
+            ok = (sq[..., 0] + sq[..., 1] >= min_sq).all(axis=1)
         if need > 1:
             # one axis at a time: a third of the 3-D form's time on a full batch
-            x, y = batch[:, :1], batch[:, 1:]
-            clash = (x - x.T) ** 2 + (y - y.T) ** 2 < min_sq
-            np.fill_diagonal(clash, False)
-            # only a proposal that clashes inside its batch depends on which
-            # earlier proposals survived; settle those in draw order
-            for i in np.flatnonzero(ok & clash.any(axis=1)):
-                if (ok[:i] & clash[i, :i]).any():
-                    ok[i] = False
-        taken = np.concatenate([taken, batch[ok]])
+            d2 = np.subtract.outer(batch[:, 0], batch[:, 0])
+            dy = np.subtract.outer(batch[:, 1], batch[:, 1])
+            d2 *= d2
+            dy *= dy
+            d2 += dy
+            clash = d2 < min_sq
+            if np.count_nonzero(clash) != need:   # not the diagonal alone
+                np.fill_diagonal(clash, False)
+                # only a proposal that clashes inside its batch depends on
+                # which earlier proposals survived; settle those in draw order
+                for i in np.flatnonzero(ok & clash.any(axis=1)):
+                    if (ok[:i] & clash[i, :i]).any():
+                        ok[i] = False
+        taken = np.concatenate([taken, batch if np.count_nonzero(ok) == need else batch[ok]])
     placed = taken[len(mt_positions):]
 
-    states = [BsPowerState.READY] * cfg.n_bs
-    loads = [0] * cfg.n_bs
-    for b in rng.choice(cfg.n_bs, size=cfg.n_busy_bs, replace=False):
-        states[b] = BsPowerState.TRANSFERRING
-        loads[b] = 1
-    return Deployment(placed, mt_positions, tuple(states), tuple(loads))
+    states = np.full(cfg.n_bs, _READY, dtype=np.int8)
+    busy = rng.choice(cfg.n_bs, size=cfg.n_busy_bs, replace=False)
+    states[busy] = _TRANSFERRING
+    loads = np.zeros(cfg.n_bs, dtype=np.int64)
+    loads[busy] = 1
+    return Deployment(placed, mt_positions, states, loads)
 
 
 def nearest_candidates(dep: Deployment, mt_index: int, k: int) -> list:
@@ -365,5 +412,10 @@ def nearest_candidates(dep: Deployment, mt_index: int, k: int) -> list:
 
 
 def total_power_mw(dep: Deployment, cfg: ScenarioConfig) -> float:
-    """Power drawn by the whole deployment in its current states."""
-    return float(sum(cfg.state_power_mw[s] for s in dep.bs_states))
+    """Power drawn by the whole deployment in its current states.
+
+    The per-BS powers are added one at a time in BS order by Python's
+    ``sum``; the last digits of the bs-energy ledger check depend on that order.
+    """
+    powers = [cfg.state_power_mw[s] for s in STATE_ORDER]
+    return float(sum(powers[code] for code in dep.bs_states.tolist()))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cellless import (BsPowerState, BusyBs, CoopGroup, DomainError, EmptyGroup,
+from cellless import (STATE_CODE, BsPowerState, BusyBs, CoopGroup, DomainError, EmptyGroup,
                       IllegalTransition, NoBsAvailable, RandomStream, form_group, generate_deployment, group_rate, nearest_awake,
                       nearest_candidates, oracle_min_group, sample_channel,
                       start_service, transition, transition_many)
@@ -31,7 +31,7 @@ class TestStateMachine:
     def test_exhaustive_transition_table(self, current, target):
         dep = line_deployment([2.0], states=(current,))
         if (current, target) in LEGAL:
-            assert transition(dep, 0, target).bs_states[0] is target
+            assert transition(dep, 0, target).bs_states[0] == STATE_CODE[target]
         else:
             with pytest.raises(IllegalTransition):
                 transition(dep, 0, target)
@@ -45,8 +45,8 @@ class TestStateMachine:
     def test_transition_keeps_other_fields(self):
         dep = line_deployment([2.0, 3.0], states=(READY, BUSY), loads=(0, 1))
         out = transition(dep, 0, BUSY)
-        assert out.bs_states == (BUSY, BUSY)
-        assert out.bs_load == dep.bs_load
+        assert out.bs_states.tolist() == [STATE_CODE[BUSY]] * 2
+        assert np.array_equal(out.bs_load, dep.bs_load)
         assert np.array_equal(out.bs_positions, dep.bs_positions)
 
     def test_transition_many_matches_sequential(self):
@@ -55,7 +55,15 @@ class TestStateMachine:
         loop = dep
         for b in (0, 2, 3):
             loop = transition(loop, b, LISTEN)
-        assert batch.bs_states == loop.bs_states
+        assert np.array_equal(batch.bs_states, loop.bs_states)
+
+    def test_transition_many_leaves_input_untouched(self):
+        dep = line_deployment([2, 3, 4], states=(READY, SLEEP, READY))
+        states, loads = dep.bs_states.copy(), dep.bs_load.copy()
+        out = transition_many(dep, [0, 2], LISTEN)
+        assert out is not dep
+        assert np.array_equal(dep.bs_states, states) and np.array_equal(dep.bs_load, loads)
+        assert out.bs_states.tolist() == [STATE_CODE[s] for s in (LISTEN, SLEEP, LISTEN)]
 
     def test_transition_many_rejects_illegal_member(self):
         dep = line_deployment([2, 3], states=(READY, SLEEP))
@@ -67,13 +75,22 @@ class TestServiceLifecycle:
     def test_start_service_wakes_members(self):
         dep = line_deployment([2, 3, 4], states=(READY, LISTEN, SLEEP))
         out = start_service(dep, _group([0, 1, 2]))
-        assert out.bs_states == (BUSY, BUSY, BUSY)
-        assert out.bs_load == (1, 1, 1)
+        assert out.bs_states.tolist() == [STATE_CODE[BUSY]] * 3
+        assert out.bs_load.tolist() == [1, 1, 1]
+
+    def test_start_service_leaves_input_untouched(self):
+        dep = line_deployment([2, 3, 4], states=(SLEEP, BUSY, READY), loads=(0, 1, 0))
+        states, loads = dep.bs_states.copy(), dep.bs_load.copy()
+        out = start_service(dep, _group([0, 1]))
+        assert out is not dep
+        assert np.array_equal(dep.bs_states, states) and np.array_equal(dep.bs_load, loads)
+        assert out.bs_states.tolist() == [STATE_CODE[s] for s in (BUSY, BUSY, READY)]
+        assert out.bs_load.tolist() == [1, 2, 0]
 
     def test_start_service_shares_a_busy_member(self):
         dep = line_deployment([2.0], states=(BUSY,), loads=(1,))
         out = start_service(dep, _group([0]))
-        assert out.bs_load == (2,)
+        assert out.bs_load.tolist() == [2]
 
 
 class TestFormGroup:

@@ -6,15 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cellless import (BsEnergyCurve, BsPowerState, CoverageCurve, InfeasibleConfig,
-                      MtEnergyCurve, bs_energy_ledger, experiments, form_group,
-                      mt_energy_trial, nearest_candidates, oracle_min_group,
-                      oracle_power_solve, run_bs_energy, run_coverage,
+from cellless import (STATE_CODE, BsEnergyCurve, BsPowerState, CoverageCurve, InfeasibleConfig,
+                      MtEnergyCurve, ScenarioConfig, bs_energy_ledger, controller,
+                      experiments, form_group, mt_energy_trial, nearest_candidates,
+                      oracle_min_group, oracle_power_solve, run_bs_energy, run_coverage,
                       run_mt_energy, run_validation, spectral_efficiency,
                       uplink_joint_snr)
-from cellless.experiments import (DEFAULT_THRESHOLDS_DB, bs_energy_trial,
-                                  coverage_block, coverage_instance, coverage_trial,
-                                  mt_energy_block, power_validation_instance)
+from cellless.experiments import (DEFAULT_THRESHOLDS_DB, _state_machine_ok, binomial_ci95,
+                                  bs_energy_trial, coverage_block, coverage_instance,
+                                  coverage_trial, grouping_check, mean_ci95,
+                                  mt_energy_block, power_check, power_validation_instance)
 from conftest import line_deployment, make_channel
 
 EPS = np.finfo(float).eps
@@ -85,7 +86,8 @@ class TestCoverage:
             nearest = nearest_candidates(dep, 0, 1)[0]
             group = form_group(0, math.inf, dep, ch, cfg, share_busy=True)
             cellular, cellless = coverage_trial(cfg, trial)
-            if dep.bs_states[nearest] is BsPowerState.READY and nearest in group.member_bs:
+            if (dep.bs_states[nearest] == STATE_CODE[BsPowerState.READY]
+                    and nearest in group.member_bs):
                 assert cellless >= cellular
                 checked += 1
         assert checked > 20
@@ -363,9 +365,9 @@ class TestCurveTypes:
 
 
 def test_validation_reports_a_zero_rate_target(cfg):
-    # at exponent 150 the baseline uplink rate log2(1 + snr) rounds to 0
-    rows = run_validation(replace(cfg, path_loss_exponent=150.0, n_trials=20),
-                          n_instances=20)
+    # at exponent 150 a 1e-300 mW terminal's baseline SNR underflows to 0
+    rows = run_validation(replace(cfg, path_loss_exponent=150.0, mt_tx_power_mw=1e-300,
+                                  n_trials=20), n_instances=20)
     assert ("power-solve", False, "instance 0: baseline rate rounds to 0") in rows
 
 
@@ -376,3 +378,41 @@ def test_validation_suites_pass(cfg):
         "grouping-oracle", "power-solve", "state-machine", "bs-energy-ledger",
         "determinism"]
     assert all(passed for _, passed, _ in rows)
+
+
+class TestConfidenceIntervals:
+    def test_binomial_half_width_at_one_half(self):
+        # 1.96 * sqrt(0.25 / 100) = 1.96 * 0.05
+        assert binomial_ci95(0.5, 100) == pytest.approx(0.098, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_binomial_half_width_vanishes_at_the_edges(self, p):
+        assert binomial_ci95(p, 100) == 0.0
+
+    @pytest.mark.parametrize("samples", [[], [3.5]])
+    def test_mean_half_width_needs_two_samples(self, samples):
+        assert mean_ci95(np.array(samples)) == 0.0
+
+    def test_mean_half_width_of_a_small_sample(self):
+        # mean 2.5, squared deviations sum to 5, s = sqrt(5 / 3), n = 4
+        want = 1.96 * math.sqrt(5.0 / 3.0) / 2.0
+        assert mean_ci95(np.array([1.0, 2.0, 3.0, 4.0])) == pytest.approx(want, rel=1e-12)
+        assert mean_ci95(np.array([7.0, 7.0, 7.0])) == 0.0
+
+
+@pytest.mark.parametrize("exponent", [2.0, 8.0, 20.0, 40.0, 150.0])
+def test_oracles_hold_at_extreme_path_loss(exponent):
+    cfg = ScenarioConfig(path_loss_exponent=exponent)
+    for name, passed, detail in (grouping_check(cfg, 200), power_check(cfg, 200)):
+        assert passed, f"{name}: {detail}"
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda legal: legal - {(BsPowerState.READY, BsPowerState.SLEEPING)},
+    lambda legal: legal | {(BsPowerState.SLEEPING, BsPowerState.READY)},
+], ids=["drop-ready-sleeping", "add-sleeping-ready"])
+def test_state_machine_row_catches_a_corrupted_table(monkeypatch, corrupt):
+    assert _state_machine_ok()
+    monkeypatch.setattr(controller, "_LEGAL_TRANSITIONS",
+                        corrupt(controller._LEGAL_TRANSITIONS))
+    assert not _state_machine_ok()

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from cellless import (BsPowerState, ConfigError, Deployment, PlacementFailure,
-                      RandomStream, ScenarioConfig, config_lines, generate_deployment,
-                      load_config, nearest_candidates, total_power_mw)
+from cellless import (STATE_CODE, STATE_ORDER, BsPowerState, ConfigError, Deployment,
+                      PlacementFailure, RandomStream, ScenarioConfig, config_lines,
+                      generate_deployment, load_config, nearest_candidates, total_power_mw)
 from cellless.scenario import _label_key, _philox_key
 from conftest import make_deployment
 
@@ -52,10 +52,10 @@ def _reference_deployment(cfg, stream, n_mt=1):
             taken = mt_positions.tolist() + acc
             if all((px - x) ** 2 + (py - y) ** 2 >= min_sq for px, py in taken):
                 acc.append((x, y))
-    states = [BsPowerState.READY] * cfg.n_bs
+    states = [STATE_CODE[BsPowerState.READY]] * cfg.n_bs
     loads = [0] * cfg.n_bs
     for b in rng.choice(cfg.n_bs, size=cfg.n_busy_bs, replace=False):
-        states[b] = BsPowerState.TRANSFERRING
+        states[b] = STATE_CODE[BsPowerState.TRANSFERRING]
         loads[b] = 1
     return Deployment(np.array(acc), mt_positions, tuple(states), tuple(loads))
 
@@ -71,8 +71,24 @@ def _placed_as_reference(cfg, stream, n_mt):
     got = generate_deployment(cfg, stream.rng(), n_mt)
     assert got.bs_positions.tobytes() == want.bs_positions.tobytes()
     assert got.mt_positions.tobytes() == want.mt_positions.tobytes()
-    assert got.bs_states == want.bs_states and got.bs_load == want.bs_load
+    assert np.array_equal(got.bs_states, want.bs_states)
+    assert np.array_equal(got.bs_load, want.bs_load)
     return got
+
+
+def _first_round_clashes(cfg, stream, n_mt):
+    """Whether two proposals of the first placement batch clash, in scalar arithmetic.
+
+    Draws what `generate_deployment` draws before its first batch, then the
+    batch itself: ``n_bs`` proposals.
+    """
+    rng = stream.rng()
+    if n_mt > 1:
+        rng.uniform(0.0, cfg.area_side_m, size=(n_mt - 1, 2))
+    batch = rng.uniform(0.0, cfg.area_side_m, size=(cfg.n_bs, 2)).tolist()
+    min_sq = cfg.min_distance_m ** 2
+    return any((px - x) ** 2 + (py - y) ** 2 < min_sq
+               for i, (x, y) in enumerate(batch) for px, py in batch[:i])
 
 
 class TestScenarioConfig:
@@ -242,11 +258,12 @@ class TestGenerateDeployment:
         assert dep.n_bs == 50 and dep.n_mt == 1
         assert np.all(dep.bs_positions >= 0.0) and np.all(dep.bs_positions <= 50.0)
         assert tuple(dep.mt_positions[0]) == (25.0, 25.0)
-        busy = [b for b in range(50) if dep.bs_states[b] is BsPowerState.TRANSFERRING]
+        busy = [b for b in range(50)
+                if dep.bs_states[b] == STATE_CODE[BsPowerState.TRANSFERRING]]
         assert len(busy) == 30
         assert all(dep.bs_load[b] == 1 for b in busy)
         rest = [b for b in range(50) if b not in busy]
-        assert all(dep.bs_states[b] is BsPowerState.READY and dep.bs_load[b] == 0
+        assert all(dep.bs_states[b] == STATE_CODE[BsPowerState.READY] and dep.bs_load[b] == 0
                    for b in rest)
 
     def test_exclusion_radius_holds(self, cfg):
@@ -266,13 +283,14 @@ class TestGenerateDeployment:
         b = generate_deployment(cfg, stream.rng())
         assert np.array_equal(a.bs_positions, b.bs_positions)
         assert np.array_equal(a.mt_positions, b.mt_positions)
-        assert a.bs_states == b.bs_states and a.bs_load == b.bs_load
+        assert np.array_equal(a.bs_states, b.bs_states)
+        assert np.array_equal(a.bs_load, b.bs_load)
 
     def test_single_ready_bs(self):
         cfg = ScenarioConfig(n_bs=1, n_busy_bs=0, n_candidates=1, max_group_size=1)
         dep = generate_deployment(cfg, RandomStream(1, "t", 0).rng())
-        assert dep.bs_states == (BsPowerState.READY,)
-        assert dep.bs_load == (0,)
+        assert dep.bs_states.tolist() == [STATE_CODE[BsPowerState.READY]]
+        assert dep.bs_load.tolist() == [0]
 
     def test_impossible_packing_fails(self):
         # 50 points with 40 m pairwise clearance cannot fit a 50 m square
@@ -321,6 +339,35 @@ class TestGenerateDeployment:
         d_bs = ((bs[:, None, :] - bs[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d_bs, np.inf)
         assert np.all(d_bs >= min_sq)
+
+    @pytest.mark.parametrize("n_mt", [1, 10])
+    @pytest.mark.parametrize("overrides,n_trials", [
+        ({}, 150),
+        ({"n_bs": 10, "n_busy_bs": 5, "n_candidates": 5, "min_distance_m": 3.0}, 150),
+    ])
+    def test_clean_and_clashing_first_rounds_match_reference(self, overrides, n_trials,
+                                                             n_mt):
+        # a first batch without an inner clash skips the settle step; both
+        # kinds of batch must occur here, and both must place as the reference
+        cfg = ScenarioConfig(**overrides)
+        stream = RandomStream(5, "first-round")
+        clashes = []
+        for t in range(n_trials):
+            clashes.append(_first_round_clashes(cfg, stream.for_trial(t), n_mt))
+            assert _placed_as_reference(cfg, stream.for_trial(t), n_mt) is not None
+        assert any(clashes) and not all(clashes)
+
+    @pytest.mark.parametrize("n_mt", [1, 10])
+    @pytest.mark.parametrize("overrides,n_trials", [
+        ({"n_bs": 1, "n_busy_bs": 0, "n_candidates": 1, "max_group_size": 1}, 200),
+        ({"n_bs": 200}, 8),
+    ])
+    def test_extreme_bs_counts_match_reference(self, overrides, n_trials, n_mt):
+        # one BS never builds a clash matrix; 200 BSs almost always clash
+        cfg = ScenarioConfig(**overrides)
+        stream = RandomStream(6, "bs-count")
+        for t in range(n_trials):
+            assert _placed_as_reference(cfg, stream.for_trial(t), n_mt) is not None
 
     def test_single_bs_draws_are_uniform(self):
         # mean of 1e5 single-BS draws within 1% of the center, per axis
@@ -377,3 +424,66 @@ def test_total_power_sums_state_draw(cfg):
 def test_loaded_bs_must_transfer():
     with pytest.raises(ValueError):
         make_deployment([[25.0, 30.0]], states=(BsPowerState.READY,), loads=(1,))
+
+
+class TestDeploymentArrays:
+    def test_fields_are_read_only(self, cfg):
+        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
+        for arr in (dep.bs_positions, dep.mt_positions, dep.bs_states, dep.bs_load,
+                    dep.transferring_mask):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_states_are_int8_codes(self, cfg):
+        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
+        assert dep.bs_states.dtype == np.int8
+        assert dep.bs_load.dtype.kind == "i" and dep.bs_load.dtype.itemsize > 1
+        decoded = {STATE_ORDER[code] for code in dep.bs_states.tolist()}
+        assert decoded == {BsPowerState.READY, BsPowerState.TRANSFERRING}
+        busy = dep.bs_states == STATE_CODE[BsPowerState.TRANSFERRING]
+        assert np.array_equal(dep.transferring_mask, busy)
+        assert np.array_equal(dep.bs_load, busy.astype(int))
+
+    def test_code_table_follows_state_order(self):
+        assert [STATE_CODE[s] for s in STATE_ORDER] == [0, 1, 2, 3]
+
+    def test_caller_arrays_are_copied_not_frozen(self):
+        pos = np.array([[25.0, 30.0], [25.0, 20.0]])
+        mt = np.array([[25.0, 25.0]])
+        states = np.array([STATE_CODE[BsPowerState.READY],
+                           STATE_CODE[BsPowerState.TRANSFERRING]], dtype=np.int8)
+        loads = np.array([0, 1])
+        dep = Deployment(pos, mt, states, loads)
+        for arr in (pos, mt, states, loads):
+            assert arr.flags.writeable
+        pos[0, 0] = 0.0
+        states[0] = STATE_CODE[BsPowerState.SLEEPING]
+        loads[1] = 5
+        assert dep.bs_positions[0, 0] == 25.0
+        assert dep.bs_states[0] == STATE_CODE[BsPowerState.READY]
+        assert dep.bs_load[1] == 1
+
+    @pytest.mark.parametrize("codes", [
+        (4,), (-1,), np.array([300]), np.array([259]), np.array([-253])])
+    def test_bad_codes_rejected(self, codes):
+        # 259 and -253 would wrap to legal int8 codes
+        with pytest.raises(ValueError, match="state codes must lie in"):
+            Deployment([[25.0, 30.0]], [[25.0, 25.0]], codes, (0,))
+
+    @pytest.mark.parametrize("codes", [(BsPowerState.READY,), (2.0,)])
+    def test_non_integer_codes_rejected(self, codes):
+        with pytest.raises(ValueError, match="must hold integers"):
+            Deployment([[25.0, 30.0]], [[25.0, 25.0]], codes, (0,))
+
+    def test_loaded_listening_bs_rejected(self):
+        codes = (STATE_CODE[BsPowerState.TRANSFERRING], STATE_CODE[BsPowerState.LISTENING])
+        with pytest.raises(ValueError, match="a loaded BS must be in the transferring state"):
+            Deployment([[25.0, 30.0], [25.0, 20.0]], [[25.0, 25.0]], codes, (1, 1))
+
+    def test_per_bs_lengths_must_match(self):
+        ready = STATE_CODE[BsPowerState.READY]
+        with pytest.raises(ValueError, match="one entry per base station"):
+            Deployment([[25.0, 30.0], [25.0, 20.0]], [[25.0, 25.0]], (ready,), (0, 0))
+        with pytest.raises(ValueError, match="one entry per base station"):
+            Deployment([[25.0, 30.0]], [[25.0, 25.0]], (ready,), (0, 0))
