@@ -1,10 +1,9 @@
 """Monte Carlo simulator of SDN-controlled cooperative cell-less networks."""
 
-from .channel import (ChannelSample, LinkBudget, downlink_budget, downlink_sinr,
-                      draw_fading, path_loss, sample_channel, spectral_efficiency,
-                      uplink_joint_snr)
+from .channel import (ChannelSample, downlink_sinr, path_loss, sample_channel,
+                      spectral_efficiency, uplink_joint_snr)
 from .controller import (CoopGroup, form_group, group_rate, nearest_awake,
-                         start_service, transition, transition_many)
+                         start_service, transition_many)
 from .errors import (BusyBs, CelllessError, ConfigError, DomainError, EmptyGroup,
                      IllegalTransition, InfeasibleConfig, IoFailure,
                      NoBsAvailable, PlacementFailure)
@@ -15,8 +14,8 @@ from .experiments import (BsEnergyCurve, CoverageCurve, MtEnergyCurve,
                           run_mt_energy, run_validation)
 from .report import (ExperimentReport, config_hash, emit_csv, emit_json,
                      parse_csv, render_csv, summarize, to_dict)
-from .scenario import (STATE_CODE, STATE_ORDER, BsPowerState, Deployment, RandomStream,
-                       ScenarioConfig, config_lines, generate_deployment, load_config,
+from .scenario import (BsPowerState, Deployment, RandomStream, ScenarioConfig,
+                       config_lines, generate_deployment, load_config,
                        nearest_candidates, total_power_mw)
 
 __version__ = "0.1.0"

@@ -31,25 +31,6 @@ class ChannelSample:
         g.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Received useful power, interference, and noise, all in milliwatts."""
-
-    signal_mw: float
-    interference_mw: float
-    noise_mw: float
-
-    def __post_init__(self):
-        if self.signal_mw < 0 or self.interference_mw < 0:
-            raise ValueError("powers must be non-negative")
-        if not self.noise_mw > 0:
-            raise ValueError("noise power must be strictly positive")
-
-    @property
-    def sinr(self) -> float:
-        return self.signal_mw / (self.interference_mw + self.noise_mw)
-
-
 def path_loss(distance_m, cfg: ScenarioConfig):
     """Unitless gain (d / d_ref)^-alpha, clamped to 1 inside d_ref.
 
@@ -65,16 +46,12 @@ def path_loss(distance_m, cfg: ScenarioConfig):
     return float(gain) if gain.ndim == 0 else gain
 
 
-def draw_fading(stream: RandomStream, size=None):
-    """Unit-mean exponential fading factors (Rayleigh envelope power)."""
-    return stream.rng().exponential(1.0, size=size)
-
-
 def sample_channel(dep: Deployment, cfg: ScenarioConfig, stream: RandomStream) -> ChannelSample:
-    """Path loss times fresh fading for every (BS, terminal) pair."""
+    """Path loss times fresh unit-mean exponential fading for every (BS, terminal) pair."""
     delta = dep.bs_positions[:, None, :] - dep.mt_positions[None, :, :]
     dists = np.hypot(delta[..., 0], delta[..., 1])
-    return ChannelSample(path_loss(dists, cfg) * draw_fading(stream, size=dists.shape))
+    fading = stream.rng().exponential(1.0, size=dists.shape)
+    return ChannelSample(path_loss(dists, cfg) * fading)
 
 
 def _member_mask(members, n_bs: int) -> np.ndarray:
@@ -88,9 +65,9 @@ def _member_mask(members, n_bs: int) -> np.ndarray:
     return mask
 
 
-def downlink_budget(mt_index: int, members, dep: Deployment,
-                    ch: ChannelSample, cfg: ScenarioConfig) -> LinkBudget:
-    """Budget of joint downlink transmission from ``members`` to a terminal.
+def downlink_sinr(mt_index: int, members, dep: Deployment,
+                  ch: ChannelSample, cfg: ScenarioConfig) -> float:
+    """SINR of joint downlink transmission from ``members`` to a terminal.
 
     Group members contribute useful power; every other transferring BS
     interferes at full transmit power. Signals add as powers (no phase
@@ -101,24 +78,20 @@ def downlink_budget(mt_index: int, members, dep: Deployment,
     signal = cfg.bs_tx_power_mw * float(np.sum(g[mask]))
     interference = cfg.bs_tx_power_mw * float(
         np.sum(g[dep.transferring_mask & ~mask]))
-    return LinkBudget(signal, interference, cfg.noise_power_mw)
-
-
-def downlink_sinr(mt_index: int, members, dep: Deployment,
-                  ch: ChannelSample, cfg: ScenarioConfig) -> float:
-    return downlink_budget(mt_index, members, dep, ch, cfg).sinr
+    return signal / (interference + cfg.noise_power_mw)
 
 
 def uplink_joint_snr(mt_power_mw: float, members, dep: Deployment,
-                     ch: ChannelSample, cfg: ScenarioConfig, mt_index: int = 0) -> float:
-    """Effective SNR of joint uplink reception with maximal-ratio combining.
+                     ch: ChannelSample, cfg: ScenarioConfig) -> float:
+    """The typical user's effective SNR under joint uplink reception.
 
-    Branch SNRs add over the receiving group; uplink interference is not
-    modeled, so the denominator is the noise floor alone.
+    Maximal-ratio combining: branch SNRs add over the receiving group.
+    Uplink interference is not modeled, so the denominator is the noise
+    floor alone.
     """
     mask = _member_mask(members, dep.n_bs)
-    signal = mt_power_mw * float(np.sum(ch.gains[:, mt_index][mask]))
-    return LinkBudget(signal, 0.0, cfg.noise_power_mw).sinr
+    signal = mt_power_mw * float(np.sum(ch.gains[:, 0][mask]))
+    return signal / cfg.noise_power_mw
 
 
 _LN2 = math.log(2.0)

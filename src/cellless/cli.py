@@ -18,7 +18,7 @@ from .experiments import (DEFAULT_BS_GROUP_SIZES, DEFAULT_MT_GROUP_SIZES,
                           run_bs_energy, run_coverage, run_mt_energy,
                           run_validation)
 from .report import ExperimentReport, emit_csv, emit_json, summarize
-from .scenario import (_INT_FIELDS, STATE_ORDER, ScenarioConfig, load_config,
+from .scenario import (_INT_FIELDS, BsPowerState, ScenarioConfig, load_config,
                        parse_state_powers)
 
 _FIELD_HELP = {
@@ -84,7 +84,7 @@ def _add_config_flags(sub):
     defaults = ScenarioConfig()
     for f in fields(ScenarioConfig):
         if f.name == "state_power_mw":
-            default_text = ",".join(f"{defaults.state_power_mw[s]:g}" for s in STATE_ORDER)
+            default_text = ",".join(f"{defaults.state_power_mw[s]:g}" for s in BsPowerState)
             sub.add_argument("--state_power_mw", type=str, default=None,
                              help=f"{_FIELD_HELP[f.name]} (default: {default_text})")
             continue
@@ -93,13 +93,14 @@ def _add_config_flags(sub):
                          help=f"{_FIELD_HELP[f.name]} (default: {getattr(defaults, f.name)})")
 
 
-def _add_common(sub):
+def _add_common(sub, report: bool = True):
     sub.add_argument("--config", default=None,
                      help="scenario file with one 'key = value' per line")
-    sub.add_argument("--output", default=None,
-                     help="report destination (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="report format (default: csv)")
+    if report:
+        sub.add_argument("--output", default=None,
+                         help="report destination (default: stdout)")
+        sub.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="report format (default: csv)")
     sub.add_argument("--workers", type=int, default=1,
                      help="parallel trial processes for coverage and mt-energy, "
                           "at most one per CPU; never changes any emitted number")
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="SINR thresholds in dB, 'start:stop:step' or comma "
                           "list (default: -15:5:1)")
     cov.add_argument("--event-log", dest="event_log", default=None,
-                     help="write one line per grouping decision (workers=1 only)")
+                     help="write one line per grouping decision")
     _add_common(cov)
 
     bse = sub.add_parser("bs-energy",
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate",
                          help="run the built-in oracle suites and exit "
                               "nonzero on any failure")
-    _add_common(val)
+    _add_common(val, report=False)
     return parser
 
 

@@ -13,17 +13,14 @@ import numpy as np
 
 from .channel import ChannelSample, downlink_sinr, spectral_efficiency
 from .errors import BusyBs, DomainError, EmptyGroup, IllegalTransition, NoBsAvailable
-from .scenario import (STATE_CODE, STATE_ORDER, BsPowerState, Deployment, ScenarioConfig,
-                       nearest_candidates)
+from .scenario import BsPowerState, Deployment, ScenarioConfig, nearest_candidates
 
 
 #: States in which a BS may join a new group (once woken to transferring).
 IDLE_STATES = frozenset({BsPowerState.READY, BsPowerState.LISTENING})
 
 # IDLE_STATES looked up by state code
-_IS_IDLE = np.array([s in IDLE_STATES for s in STATE_ORDER])
-_SLEEPING = STATE_CODE[BsPowerState.SLEEPING]
-_TRANSFERRING = STATE_CODE[BsPowerState.TRANSFERRING]
+_IS_IDLE = np.array([s in IDLE_STATES for s in BsPowerState])
 
 _LEGAL_TRANSITIONS = frozenset({
     (BsPowerState.SLEEPING, BsPowerState.LISTENING),
@@ -54,28 +51,23 @@ class CoopGroup:
             raise ValueError("duplicate group members")
 
 
-def transition(dep: Deployment, bs: int, new_state: BsPowerState) -> Deployment:
-    """Apply one legal power-state step to a BS, returning the new deployment.
+def transition_many(dep: Deployment, bs_ids, new_state: BsPowerState) -> Deployment:
+    """Apply the same legal power-state step to several BSs with one rebuild.
 
     Legal steps are the adjacent ones (sleeping<->listening<->ready<->
     transferring) plus ready->sleeping. A loaded BS cannot change state at
     all: unload it first.
     """
-    return transition_many(dep, [bs], new_state)
-
-
-def transition_many(dep: Deployment, bs_ids, new_state: BsPowerState) -> Deployment:
-    """Apply the same legal step to several BSs with one deployment rebuild."""
     states = dep.bs_states.copy()
     for bs in bs_ids:
         bs = int(bs)
         if dep.bs_load[bs] > 0:
             # loaded implies transferring; any step would abandon its terminal
             raise BusyBs(f"BS {bs} still serves {dep.bs_load[bs]} terminal(s)")
-        current = STATE_ORDER[states[bs]]
+        current = BsPowerState(states[bs])
         if (current, new_state) not in _LEGAL_TRANSITIONS:
-            raise IllegalTransition(f"{current.value} -> {new_state.value}")
-        states[bs] = STATE_CODE[new_state]
+            raise IllegalTransition(f"{current.name.lower()} -> {new_state.name.lower()}")
+        states[bs] = new_state.value
     return Deployment(dep.bs_positions, dep.mt_positions, states, dep.bs_load)
 
 
@@ -90,7 +82,7 @@ def start_service(dep: Deployment, group: CoopGroup) -> Deployment:
     members = list(group.member_bs)    # distinct, as CoopGroup checks
     states = dep.bs_states.copy()
     loads = dep.bs_load.copy()
-    states[members] = _TRANSFERRING
+    states[members] = BsPowerState.TRANSFERRING.value
     loads[members] += 1
     return Deployment(dep.bs_positions, dep.mt_positions, states, loads)
 
@@ -103,7 +95,7 @@ def group_rate(members, mt_index: int, dep: Deployment,
 
 def nearest_awake(dep: Deployment, mt_index: int) -> int:
     order = np.argsort(dep.bs_distances(mt_index), kind="stable")
-    awake = order[dep.bs_states[order] != _SLEEPING]
+    awake = order[dep.bs_states[order] != BsPowerState.SLEEPING.value]
     if not len(awake):
         raise NoBsAvailable("every BS is sleeping")
     return int(awake[0])
@@ -130,7 +122,7 @@ def form_group(mt_index: int, demand_rate: float, dep: Deployment,
         raise DomainError("demand_rate must be non-negative")
     candidates = nearest_candidates(dep, mt_index, cfg.n_candidates)
     codes = dep.bs_states[candidates]
-    keep = codes != _SLEEPING if share_busy else _IS_IDLE[codes]
+    keep = codes != BsPowerState.SLEEPING.value if share_busy else _IS_IDLE[codes]
     eligible = [b for b, k in zip(candidates, keep.tolist()) if k]
 
     if not eligible:

@@ -34,11 +34,10 @@ import numpy as np
 from .channel import (downlink_sinr, path_loss, sample_channel, spectral_efficiency,
                       uplink_joint_snr)
 from .controller import (IDLE_STATES, CoopGroup, form_group, group_rate, nearest_awake,
-                         start_service, transition, transition_many)
+                         start_service, transition_many)
 from .errors import BusyBs, IllegalTransition, InfeasibleConfig
-from .scenario import (STATE_CODE, STATE_ORDER, BsPowerState, Deployment, RandomStream,
-                       ScenarioConfig, generate_deployment, nearest_candidates,
-                       total_power_mw)
+from .scenario import (BsPowerState, Deployment, RandomStream, ScenarioConfig,
+                       generate_deployment, nearest_candidates, total_power_mw)
 
 DEFAULT_THRESHOLDS_DB = tuple(float(t) for t in range(-15, 6))
 DEFAULT_SLEEPING_COUNTS = tuple(range(0, 11))
@@ -143,42 +142,35 @@ class MtEnergyCurve:
                 raise ValueError("a single-receiver group cannot save power")
 
 
-def _log_decision(fh, trial: int, members, best_effort: bool) -> None:
-    """One typical-user grouping decision; members in selection order."""
-    listed = ",".join(str(b) for b in members)
-    fh.write(f"trial={trial} mt=0 members={listed} "
-             f"best_effort={str(bool(best_effort)).lower()}\n")
+def _scan_trials(block, n_trials: int, workers: int, start: int = 0):
+    """Run block(a, b) over trials [start, start + n_trials), joined by trial.
 
-
-def _scan_trials(chunk, n_trials: int, workers: int) -> np.ndarray:
-    """Run chunk(start, stop) over [0, n_trials) and stack results by trial.
-
-    Chunks are contiguous and results concatenate in start order, so any
-    worker count yields bit-identical output. Each pool process takes one
-    chunk, and there is at most one per CPU: the pool starts all of its
-    processes at the first submit, so an unbounded count would ask the OS
-    for that many.
+    The trials split into contiguous chunks, at most ``workers`` and at most
+    one per CPU, and each chunk into blocks of ``BLOCK_TRIALS``. A block
+    returns an array, or a tuple of arrays, with one row per trial; results
+    join in trial order, so any worker count yields bit-identical output.
+    Each pool process takes one chunk: the pool starts all of its processes
+    at the first submit, so an unbounded count would ask the OS for that many.
     """
+    stop = start + n_trials
     n_chunks = min(workers, n_trials, os.cpu_count() or 1)
     if n_chunks <= 1:
-        return chunk(0, n_trials)
-    bounds = np.linspace(0, n_trials, n_chunks + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-        futures = [pool.submit(chunk, int(a), int(b))
-                   for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        parts = [f.result() for f in futures]
-    return np.concatenate(parts, axis=0)
+        parts = [block(a, min(a + BLOCK_TRIALS, stop)) for a in range(start, stop, BLOCK_TRIALS)]
+    else:
+        bounds = np.linspace(start, stop, n_chunks + 1).astype(int)
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            futures = [pool.submit(_scan_trials, block, int(b - a), 1, int(a))
+                       for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+            parts = [f.result() for f in futures]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    return np.concatenate(parts)
 
 
 def draw_instance(cfg: ScenarioConfig, base: RandomStream):
     """Deployment from ``base``'s "deploy" child, channel from its "fading" child."""
     dep = generate_deployment(cfg, base.child("deploy").rng())
     return dep, sample_channel(dep, cfg, base.child("fading"))
-
-
-def _blocks(start: int, stop: int):
-    """[a, b) bounds of the blocks that tile trials [start, stop)."""
-    return [(a, min(a + BLOCK_TRIALS, stop)) for a in range(start, stop, BLOCK_TRIALS)]
 
 
 def draw_block(cfg: ScenarioConfig, label: str, start: int, stop: int):
@@ -257,14 +249,15 @@ def coverage_block(cfg: ScenarioConfig, start: int, stop: int):
     ``form_group(0, math.inf, ..., share_busy=True)`` picks it), and the
     (cellular, cell-less) SINR per trial. The masked row sums add in another
     order than :func:`downlink_sinr`, so an SINR may differ from
-    :func:`coverage_trial`'s in the last bits.
+    :func:`coverage_trial`'s in the last bits. Each is a copy, not a view
+    of the block's sort: the scan holds every block's result at once.
     """
     dist, gains, busy = draw_block(cfg, "coverage", start, stop)
     candidates = np.argsort(dist, axis=1, kind="stable")[:, :cfg.n_candidates]
-    nearest = candidates[:, 0]
+    nearest = candidates[:, 0].copy()
     # coverage deployments hold no sleeping BS, so under share_busy every
     # candidate is eligible
-    members = _ranked_by_gain(candidates, gains)[:, :cfg.max_group_size]
+    members = _ranked_by_gain(candidates, gains)[:, :cfg.max_group_size].copy()
     alone = np.zeros(gains.shape, dtype=bool)
     np.put_along_axis(alone, candidates[:, :1], True, axis=1)
     grouped = np.zeros(gains.shape, dtype=bool)
@@ -280,19 +273,6 @@ def coverage_block(cfg: ScenarioConfig, start: int, stop: int):
     return nearest, members, sinr
 
 
-def _coverage_chunk(cfg, start, stop, event_log=None):
-    parts = []
-    for a, b in _blocks(start, stop):
-        _, members, sinr = coverage_block(cfg, a, b)
-        if event_log is not None:
-            # form_group's rate < demand with an infinite demand: false
-            # exactly when the group SINR is inf or nan
-            for trial, row, group_sinr in zip(range(a, b), members, sinr[:, 1]):
-                _log_decision(event_log, trial, row, group_sinr < math.inf)
-        parts.append(sinr)
-    return np.concatenate(parts)
-
-
 def run_coverage(cfg: ScenarioConfig, thresholds_db=None, workers: int = 1,
                  event_log=None) -> CoverageCurve:
     """Coverage probability versus SINR threshold.
@@ -303,17 +283,22 @@ def run_coverage(cfg: ScenarioConfig, thresholds_db=None, workers: int = 1,
     busy stations whose interference then counts as signal; both arms see
     the same deployment and fading. Coverage at a threshold is the fraction
     of trials whose SINR clears it, so each curve is non-increasing exactly.
+    ``event_log`` gets one line per trial's group, in trial order.
     """
     if thresholds_db is None:
         thresholds_db = DEFAULT_THRESHOLDS_DB
     thresholds = [float(t) for t in thresholds_db]
     if thresholds != sorted(thresholds):
         raise ValueError("thresholds_db must be sorted ascending")
-    if event_log is not None and workers > 1:
-        raise ValueError("event logging requires workers=1")
-    sinr = _scan_trials(partial(_coverage_chunk, cfg, event_log=event_log),
-                        cfg.n_trials, workers)
+    _, members, sinr = _scan_trials(partial(coverage_block, cfg), cfg.n_trials, workers)
     n = cfg.n_trials
+    if event_log is not None:
+        # form_group's rate < demand with an infinite demand: false exactly
+        # when the group SINR is inf or nan
+        for trial, (row, group_sinr) in enumerate(zip(members.tolist(), sinr[:, 1].tolist())):
+            listed = ",".join(map(str, row))
+            event_log.write(f"trial={trial} mt=0 members={listed} "
+                            f"best_effort={str(group_sinr < math.inf).lower()}\n")
     cuts = [10.0 ** (t / 10.0) for t in thresholds]
     cellular = [np.count_nonzero(sinr[:, 0] >= c) / n for c in cuts]
     cellless = [np.count_nonzero(sinr[:, 1] >= c) / n for c in cuts]
@@ -355,8 +340,7 @@ def bs_energy_trial(cfg: ScenarioConfig, sleeping_counts, group_sizes,
         dep = dep0
         for mt in range(n_users):
             dep = start_service(dep, form_group(mt, math.inf, dep, ch, form_cfg))
-        off_duty = perm[dep.bs_states[perm]
-                        != STATE_CODE[BsPowerState.TRANSFERRING]].tolist()
+        off_duty = perm[dep.bs_states[perm] != BsPowerState.TRANSFERRING.value].tolist()
         # baseline keeps every off-duty BS listening; sleepers step down from there
         baseline = transition_many(dep, off_duty, BsPowerState.LISTENING)
         p_base = total_power_mw(baseline, cfg)
@@ -453,11 +437,6 @@ def mt_energy_block(cfg: ScenarioConfig, group_sizes, start: int, stop: int) -> 
     return 1.0 - prefix[:, :1] / prefix[:, np.asarray(group_sizes, dtype=int) - 1]
 
 
-def _mt_energy_chunk(cfg, group_sizes, start, stop):
-    return np.concatenate([mt_energy_block(cfg, group_sizes, a, b)
-                           for a, b in _blocks(start, stop)])
-
-
 def run_mt_energy(cfg: ScenarioConfig, group_sizes=DEFAULT_MT_GROUP_SIZES,
                   workers: int = 1) -> MtEnergyCurve:
     """Mean fractional terminal power saving per joint-reception group size."""
@@ -466,8 +445,7 @@ def run_mt_energy(cfg: ScenarioConfig, group_sizes=DEFAULT_MT_GROUP_SIZES,
         if not 1 <= n <= cfg.n_candidates:
             raise InfeasibleConfig(
                 f"group size {n} outside [1, n_candidates={cfg.n_candidates}]")
-    samples = _scan_trials(partial(_mt_energy_chunk, cfg, group_sizes),
-                           cfg.n_trials, workers)
+    samples = _scan_trials(partial(mt_energy_block, cfg, group_sizes), cfg.n_trials, workers)
     saving = tuple(float(np.mean(samples[:, i])) for i in range(len(group_sizes)))
     ci = tuple(mean_ci95(samples[:, i]) for i in range(len(group_sizes)))
     return MtEnergyCurve(group_sizes, saving, ci, cfg.n_trials)
@@ -477,15 +455,14 @@ def run_mt_energy(cfg: ScenarioConfig, group_sizes=DEFAULT_MT_GROUP_SIZES,
 # verification oracles
 # ---------------------------------------------------------------------------
 
-def oracle_min_group(candidates, demand: float, dep, ch, cfg,
-                     mt_index: int = 0) -> CoopGroup:
-    """Exhaustive reference for downlink group formation over a small candidate set.
+def oracle_min_group(candidates, demand: float, dep, ch, cfg) -> CoopGroup:
+    """Exhaustive reference for the typical user's group over a small candidate set.
 
-    Enumerates every idle subset up to the size cap. The smallest subset
-    meeting the demand wins, ties broken by higher rate, then by the larger
-    exact sum of member gains, then by lexicographic members; when nothing
-    qualifies, the best full-size subset is returned best-effort; with no
-    idle candidate at all, the nearest awake BS serves.
+    Rates every idle subset up to the size cap, each once. The smallest
+    subset meeting the demand wins, ties broken by higher rate, then by the
+    larger exact sum of member gains, then by lexicographic members; when
+    nothing qualifies, the best full-size subset is returned best-effort;
+    with no idle candidate at all, the nearest awake BS serves.
 
     Idle members interfere with nobody, so among subsets of one size the
     true rate grows with the member-gain sum; two subsets whose float rates
@@ -497,40 +474,36 @@ def oracle_min_group(candidates, demand: float, dep, ch, cfg,
 
     if len(candidates) > 12:
         raise ValueError("exhaustive search is limited to 12 candidates")
-    idle = sorted(b for b in candidates if STATE_ORDER[dep.bs_states[b]] in IDLE_STATES)
+    idle = sorted(b for b in candidates if BsPowerState(dep.bs_states[b]) in IDLE_STATES)
     if not idle:
-        fallback = nearest_awake(dep, mt_index)
-        rate = group_rate([fallback], mt_index, dep, ch, cfg)
-        return CoopGroup((fallback,), mt_index, demand, rate, True)
+        fallback = nearest_awake(dep, 0)
+        return CoopGroup((fallback,), 0, demand, group_rate([fallback], 0, dep, ch, cfg), True)
 
-    gains = ch.gains[:, mt_index]
+    gains = ch.gains[:, 0]
 
     def exact_gain(members):
         return sum(Fraction(float(gains[b])) for b in members)
 
-    def best_of(combos):
+    def best_of(rated):
         top_rate, top_members = -1.0, None
-        for members in combos:
-            rate = group_rate(members, mt_index, dep, ch, cfg)
+        for rate, members in rated:
             if rate > top_rate or (
                     rate == top_rate and exact_gain(members) > exact_gain(top_members)):
                 top_rate, top_members = rate, members
         return top_rate, top_members
 
-    cap = min(cfg.max_group_size, len(idle))
-    for size in range(1, cap + 1):
-        feasible = [m for m in itertools.combinations(idle, size)
-                    if group_rate(m, mt_index, dep, ch, cfg) >= demand]
+    for size in range(1, min(cfg.max_group_size, len(idle)) + 1):
+        rated = [(group_rate(m, 0, dep, ch, cfg), m) for m in itertools.combinations(idle, size)]
+        feasible = [(rate, m) for rate, m in rated if rate >= demand]
         if feasible:
             rate, members = best_of(feasible)
-            return CoopGroup(members, mt_index, demand, rate, False)
-    rate, members = best_of(itertools.combinations(idle, cap))
-    return CoopGroup(members, mt_index, demand, rate, True)
+            return CoopGroup(members, 0, demand, rate, False)
+    rate, members = best_of(rated)     # the size-cap subsets
+    return CoopGroup(members, 0, demand, rate, True)
 
 
-def oracle_power_solve(group, target_rate: float, dep, ch, cfg,
-                       mt_index: int = 0) -> float:
-    """Bisect the terminal transmit power that reaches a target uplink rate.
+def oracle_power_solve(group, target_rate: float, dep, ch, cfg) -> float:
+    """Bisect the typical user's transmit power that reaches a target uplink rate.
 
     Independent numeric route for the algebraic power solution; brackets
     [1e-6, 1e6] mW and stops at 1e-12 relative error on the rate.
@@ -539,8 +512,7 @@ def oracle_power_solve(group, target_rate: float, dep, ch, cfg,
         raise ValueError("target_rate must be positive")
 
     def rate(p):
-        return spectral_efficiency(
-            uplink_joint_snr(p, group, dep, ch, cfg, mt_index=mt_index))
+        return spectral_efficiency(uplink_joint_snr(p, group, dep, ch, cfg))
 
     lo, hi = 1e-6, 1e6
     for _ in range(200):
@@ -638,28 +610,28 @@ def _state_machine_ok() -> bool:
     """Every (state, target) pair against the rule the controller documents.
 
     The expected set is derived here, not read from the controller's table:
-    a step is legal iff the two states are adjacent in ``STATE_ORDER``, or it
-    is ready -> sleeping. A legal step must land on its target.
+    a step is legal iff the two states' codes are adjacent, or it is ready ->
+    sleeping. A legal step must land on its target.
     """
     pos = np.array([[1.0, 1.0]])
     mts = np.array([[5.0, 5.0]])
-    for current in STATE_ORDER:
-        for target in STATE_ORDER:
-            legal = (abs(STATE_CODE[current] - STATE_CODE[target]) == 1
+    for current in BsPowerState:
+        for target in BsPowerState:
+            legal = (abs(current - target) == 1
                      or (current, target) == (BsPowerState.READY, BsPowerState.SLEEPING))
-            dep = Deployment(pos, mts, (STATE_CODE[current],), (0,))
+            dep = Deployment(pos, mts, (current.value,), (0,))
             try:
-                landed = transition(dep, 0, target).bs_states[0] == STATE_CODE[target]
+                landed = transition_many(dep, [0], target).bs_states[0] == target.value
                 ok = legal and landed
             except IllegalTransition:
                 ok = not legal
             if not ok:
                 return False
     # a loaded BS must refuse every step
-    loaded = Deployment(pos, mts, (STATE_CODE[BsPowerState.TRANSFERRING],), (1,))
-    for target in STATE_ORDER:
+    loaded = Deployment(pos, mts, (BsPowerState.TRANSFERRING.value,), (1,))
+    for target in BsPowerState:
         try:
-            transition(loaded, 0, target)
+            transition_many(loaded, [0], target)
             return False
         except BusyBs:
             pass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellless import STATE_CODE, BsPowerState, ChannelSample, Deployment, ScenarioConfig
+from cellless import BsPowerState, ChannelSample, Deployment, ScenarioConfig
 
 
 @pytest.fixture
@@ -18,10 +18,7 @@ def small_cfg():
 
 
 def make_deployment(bs_positions, states=None, loads=None, mt_positions=None):
-    """Hand-built deployment; defaults to all-ready BSs and a centered user.
-
-    ``states`` are ``BsPowerState`` members, stored as their codes.
-    """
+    """Hand-built deployment; defaults to all-ready BSs and a centered user."""
     bs_positions = np.asarray(bs_positions, dtype=float)
     n = len(bs_positions)
     if states is None:
@@ -31,7 +28,7 @@ def make_deployment(bs_positions, states=None, loads=None, mt_positions=None):
     if mt_positions is None:
         mt_positions = [[25.0, 25.0]]
     return Deployment(bs_positions, np.asarray(mt_positions, dtype=float),
-                      [STATE_CODE[s] for s in states], tuple(loads))
+                      tuple(states), tuple(loads))
 
 
 def make_channel(gains_per_bs):

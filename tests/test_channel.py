@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from cellless import (BsPowerState, DomainError, EmptyGroup, LinkBudget,
-                      RandomStream, ScenarioConfig, downlink_budget,
-                      downlink_sinr, draw_fading, generate_deployment,
-                      path_loss, sample_channel, spectral_efficiency,
-                      uplink_joint_snr)
+from cellless import (BsPowerState, Deployment, DomainError, EmptyGroup, RandomStream,
+                      ScenarioConfig, downlink_sinr, generate_deployment, path_loss,
+                      sample_channel, spectral_efficiency, uplink_joint_snr)
 from conftest import line_deployment, make_channel, make_deployment
 
 BUSY = BsPowerState.TRANSFERRING
@@ -34,15 +32,36 @@ class TestPathLoss:
         assert np.all(g > 0)
 
 
+def _gains(cfg, stream, n, d):
+    """``sample_channel`` gains of ``n`` ready BSs ``d`` m east of the user."""
+    dep = Deployment(np.tile([25.0 + d, 25.0], (n, 1)), [[25.0, 25.0]],
+                     np.full(n, READY.value, dtype=np.int8), np.zeros(n, dtype=int))
+    return sample_channel(dep, cfg, stream).gains[:, 0]
+
+
+def _fading(cfg, stream, n):
+    """``n`` fading factors of ``sample_channel``, isolated exactly: the path
+    loss at 2 m is a power of two."""
+    return _gains(cfg, stream, n, 2.0) / path_loss(2.0, cfg)
+
+
 class TestFading:
-    def test_unit_mean_and_variance(self):
-        draws = draw_fading(RandomStream(11, "fading", 0), size=1_000_000)
+    def test_unit_mean_and_variance(self, cfg):
+        draws = _fading(cfg, RandomStream(11, "fading", 0), 1_000_000)
         assert abs(draws.mean() - 1.0) < 0.005
         assert abs(draws.var() - 1.0) < 0.01
 
-    def test_repeat_draw_identical(self):
+    def test_repeat_draw_identical(self, cfg):
         stream = RandomStream(11, "fading", 1)
-        assert draw_fading(stream) == draw_fading(stream)
+        assert _fading(cfg, stream, 1) == _fading(cfg, stream, 1)
+
+    def test_mean_received_power_tracks_path_loss(self, cfg):
+        # averaged over fading, received power equals tx power times path loss
+        for d in (2.0, 10.0, 25.0):
+            gains = _gains(cfg, RandomStream(5, "chan-mean", 0), 100_000, d)
+            expected = cfg.bs_tx_power_mw * path_loss(d, cfg)
+            measured = float(np.mean(cfg.bs_tx_power_mw * gains))
+            assert abs(measured - expected) / expected < 0.01
 
     def test_sample_channel_reproducible_and_positive(self, cfg):
         dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
@@ -58,18 +77,17 @@ class TestDownlink:
         # signal 200*(1e-3 + 4e-4) = 0.28 mW, interference 200*1e-4 = 0.02 mW
         dep = line_deployment([2.0, 3.0, 4.0], states=(READY, READY, BUSY))
         ch = make_channel([1e-3, 4e-4, 1e-4])
-        budget = downlink_budget(0, [0, 1], dep, ch, cfg)
-        assert budget.signal_mw == pytest.approx(0.28, rel=1e-12)
-        assert budget.interference_mw == pytest.approx(0.02, rel=1e-12)
-        assert budget.sinr == pytest.approx(13.99993000035, rel=1e-10)
+        sinr = downlink_sinr(0, [0, 1], dep, ch, cfg)
+        assert sinr == pytest.approx(0.28 / (0.02 + 1e-7), rel=1e-12)
+        assert sinr == pytest.approx(13.99993000035, rel=1e-10)
 
     def test_group_of_all_transferring_leaves_only_noise(self, cfg):
         dep = line_deployment([2.0, 3.0, 4.0], states=(BUSY, BUSY, BUSY),
                               loads=(1, 1, 1))
         ch = make_channel([1e-3, 4e-4, 1e-4])
-        budget = downlink_budget(0, [0, 1, 2], dep, ch, cfg)
-        assert budget.interference_mw == 0.0
-        assert budget.sinr == pytest.approx(0.3 / 1e-7, rel=1e-12)
+        # no interference: the signal over the noise alone, exactly
+        signal = cfg.bs_tx_power_mw * float(np.sum(ch.gains[:, 0]))
+        assert downlink_sinr(0, [0, 1, 2], dep, ch, cfg) == signal / cfg.noise_power_mw
 
     def test_symmetric_pair_near_zero_db(self):
         cfg = ScenarioConfig(noise_power_mw=1e-12)
@@ -140,19 +158,3 @@ class TestSpectralEfficiency:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             spectral_efficiency(-0.1)
-
-
-class TestLinkBudget:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinkBudget(-1.0, 0.0, 1e-7)
-        with pytest.raises(ValueError):
-            LinkBudget(1.0, 0.0, 0.0)
-
-    def test_mean_received_power_tracks_path_loss(self, cfg):
-        # averaged over fading, received power equals tx power times path loss
-        fading = draw_fading(RandomStream(5, "chan-mean", 0), size=100_000)
-        for d in (2.0, 10.0, 25.0):
-            expected = cfg.bs_tx_power_mw * path_loss(d, cfg)
-            measured = float(np.mean(cfg.bs_tx_power_mw * path_loss(d, cfg) * fading))
-            assert abs(measured - expected) / expected < 0.01

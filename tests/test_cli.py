@@ -134,6 +134,28 @@ def test_sweep_point_limit():
         cli._float_sweep(",".join(["1"] * 10001))
 
 
+def test_event_log_is_the_same_at_two_workers(tmp_path):
+    logs = []
+    for workers in ("1", "2"):
+        log = tmp_path / f"events-{workers}.log"
+        argv = GOLDEN_ARGS["coverage"] + ["--workers", workers, "--event-log", str(log),
+                                          "--output", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 0
+        logs.append(log.read_bytes())
+    assert logs[0].count(b"\n") == 40
+    assert logs[1] == logs[0]
+
+
+@pytest.mark.parametrize("flags", [["--output", "v.out"], ["--format", "json"]])
+def test_validate_takes_no_report_flags(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate"] + flags)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "v.out").exists()
+
+
 def test_bs_energy_has_no_event_log(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bs-energy", "--event-log", str(tmp_path / "events.log")])

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cellless import (STATE_CODE, BsPowerState, BusyBs, CoopGroup, DomainError, EmptyGroup,
-                      IllegalTransition, NoBsAvailable, RandomStream, form_group, generate_deployment, group_rate, nearest_awake,
-                      nearest_candidates, oracle_min_group, sample_channel,
-                      start_service, transition, transition_many)
+from cellless import (BsPowerState, BusyBs, CoopGroup, DomainError, EmptyGroup,
+                      IllegalTransition, NoBsAvailable, RandomStream, form_group,
+                      generate_deployment, group_rate, nearest_awake, nearest_candidates,
+                      oracle_min_group, sample_channel, start_service, transition_many)
 from cellless import controller
 from conftest import line_deployment, make_channel
 
@@ -31,21 +31,21 @@ class TestStateMachine:
     def test_exhaustive_transition_table(self, current, target):
         dep = line_deployment([2.0], states=(current,))
         if (current, target) in LEGAL:
-            assert transition(dep, 0, target).bs_states[0] == STATE_CODE[target]
+            assert transition_many(dep, [0], target).bs_states[0] == target
         else:
             with pytest.raises(IllegalTransition):
-                transition(dep, 0, target)
+                transition_many(dep, [0], target)
 
     @pytest.mark.parametrize("target", list(BsPowerState))
     def test_loaded_bs_refuses_everything(self, target):
         dep = line_deployment([2.0], states=(BUSY,), loads=(1,))
         with pytest.raises(BusyBs):
-            transition(dep, 0, target)
+            transition_many(dep, [0], target)
 
     def test_transition_keeps_other_fields(self):
         dep = line_deployment([2.0, 3.0], states=(READY, BUSY), loads=(0, 1))
-        out = transition(dep, 0, BUSY)
-        assert out.bs_states.tolist() == [STATE_CODE[BUSY]] * 2
+        out = transition_many(dep, [0], BUSY)
+        assert out.bs_states.tolist() == [BUSY] * 2
         assert np.array_equal(out.bs_load, dep.bs_load)
         assert np.array_equal(out.bs_positions, dep.bs_positions)
 
@@ -54,7 +54,7 @@ class TestStateMachine:
         batch = transition_many(dep, [0, 2, 3], LISTEN)
         loop = dep
         for b in (0, 2, 3):
-            loop = transition(loop, b, LISTEN)
+            loop = transition_many(loop, [b], LISTEN)
         assert np.array_equal(batch.bs_states, loop.bs_states)
 
     def test_transition_many_leaves_input_untouched(self):
@@ -63,11 +63,11 @@ class TestStateMachine:
         out = transition_many(dep, [0, 2], LISTEN)
         assert out is not dep
         assert np.array_equal(dep.bs_states, states) and np.array_equal(dep.bs_load, loads)
-        assert out.bs_states.tolist() == [STATE_CODE[s] for s in (LISTEN, SLEEP, LISTEN)]
+        assert out.bs_states.tolist() == [LISTEN, SLEEP, LISTEN]
 
     def test_transition_many_rejects_illegal_member(self):
         dep = line_deployment([2, 3], states=(READY, SLEEP))
-        with pytest.raises(IllegalTransition):
+        with pytest.raises(IllegalTransition, match="^sleeping -> transferring$"):
             transition_many(dep, [0, 1], BUSY)
 
 
@@ -75,7 +75,7 @@ class TestServiceLifecycle:
     def test_start_service_wakes_members(self):
         dep = line_deployment([2, 3, 4], states=(READY, LISTEN, SLEEP))
         out = start_service(dep, _group([0, 1, 2]))
-        assert out.bs_states.tolist() == [STATE_CODE[BUSY]] * 3
+        assert out.bs_states.tolist() == [BUSY] * 3
         assert out.bs_load.tolist() == [1, 1, 1]
 
     def test_start_service_leaves_input_untouched(self):
@@ -84,7 +84,7 @@ class TestServiceLifecycle:
         out = start_service(dep, _group([0, 1]))
         assert out is not dep
         assert np.array_equal(dep.bs_states, states) and np.array_equal(dep.bs_load, loads)
-        assert out.bs_states.tolist() == [STATE_CODE[s] for s in (BUSY, BUSY, READY)]
+        assert out.bs_states.tolist() == [BUSY, BUSY, READY]
         assert out.bs_load.tolist() == [1, 2, 0]
 
     def test_start_service_shares_a_busy_member(self):

@@ -1,14 +1,16 @@
 import io
+import itertools
 import math
 from concurrent.futures import Future
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from cellless import (STATE_CODE, BsEnergyCurve, BsPowerState, CoverageCurve, InfeasibleConfig,
+from cellless import (BsEnergyCurve, BsPowerState, CoverageCurve, InfeasibleConfig,
                       MtEnergyCurve, ScenarioConfig, bs_energy_ledger, controller,
-                      experiments, form_group, mt_energy_trial, nearest_candidates,
+                      experiments, form_group, group_rate, mt_energy_trial, nearest_candidates,
                       oracle_min_group, oracle_power_solve, run_bs_energy, run_coverage,
                       run_mt_energy, run_validation, spectral_efficiency,
                       uplink_joint_snr)
@@ -43,10 +45,11 @@ def _assert_sinrs_match(cfg, got, want):
         assert [g >= c for c in CUTS] == [w >= c for c in CUTS]
 
 
-def _logged(cfg, start, stop):
-    log = io.StringIO()
-    sinr = experiments._coverage_chunk(cfg, start, stop, event_log=log)
-    return sinr, log.getvalue().splitlines()
+def _scanned(cfg, start, stop):
+    """Members and SINRs of coverage trials [start, stop) through the block scan."""
+    _, members, sinr = experiments._scan_trials(partial(coverage_block, cfg),
+                                                stop - start, 1, start)
+    return members, sinr
 
 
 def _mt_sizes(cfg):
@@ -86,7 +89,7 @@ class TestCoverage:
             nearest = nearest_candidates(dep, 0, 1)[0]
             group = form_group(0, math.inf, dep, ch, cfg, share_busy=True)
             cellular, cellless = coverage_trial(cfg, trial)
-            if (dep.bs_states[nearest] == STATE_CODE[BsPowerState.READY]
+            if (dep.bs_states[nearest] == BsPowerState.READY
                     and nearest in group.member_bs):
                 assert cellless >= cellular
                 checked += 1
@@ -101,11 +104,6 @@ class TestCoverage:
         assert len(lines) == 25
         assert lines[0].startswith("trial=0 mt=0 members=")
         assert lines[0].endswith(" best_effort=true")
-
-    def test_event_log_needs_single_worker(self, cfg):
-        import io
-        with pytest.raises(ValueError):
-            run_coverage(replace(cfg, n_trials=8), event_log=io.StringIO(), workers=2)
 
 
 class TestBlockKernels:
@@ -147,23 +145,34 @@ class TestBlockKernels:
         cfg, coverage, mt = oracle
         sizes = _mt_sizes(cfg)
         # 513 trials: two full blocks and a one-trial block
-        whole, lines = _logged(cfg, 0, self.N_EDGE)
-        assert lines == [line for _, line, _ in coverage]
+        log = io.StringIO()
+        run_coverage(replace(cfg, n_trials=self.N_EDGE), event_log=log)
+        assert log.getvalue().splitlines() == [line for _, line, _ in coverage]
+        members, whole = _scanned(cfg, 0, self.N_EDGE)
         for got, (_, _, want) in zip(whole, coverage):
             _assert_sinrs_match(cfg, got, want)
-        rows = experiments._mt_energy_chunk(cfg, sizes, 0, self.N_EDGE)
-        assert rows.tobytes() == mt.tobytes()
-        # shorter chunks and one that starts mid-block give the same rows
+        mt_block = partial(mt_energy_block, cfg, sizes)
+        assert experiments._scan_trials(mt_block, self.N_EDGE, 1).tobytes() == mt.tobytes()
+        # shorter scans and one that starts mid-block give the same rows
         for start, stop in ((0, 1), (0, 256), (0, 257), (100, self.N_EDGE)):
-            sinr, part = _logged(cfg, start, stop)
+            part, sinr = _scanned(cfg, start, stop)
             assert sinr.tobytes() == whole[start:stop].tobytes()
-            assert part == lines[start:stop]
-            rows = experiments._mt_energy_chunk(cfg, sizes, start, stop)
+            assert part.tobytes() == members[start:stop].tobytes()
+            rows = experiments._scan_trials(mt_block, stop - start, 1, start)
             assert rows.tobytes() == mt[start:stop].tobytes()
+
+    def test_block_holds_no_views(self, cfg):
+        # a view would keep the block's whole (trials, n_bs) sort alive while
+        # the scan holds every block's result
+        for arr in coverage_block(cfg, 0, 4):
+            assert arr.base is None
 
     def test_worker_count_at_block_edges(self, oracle):
         cfg = replace(oracle[0], n_trials=self.N_EDGE)
-        assert run_coverage(cfg, workers=1) == run_coverage(cfg, workers=2)
+        logs = [io.StringIO(), io.StringIO()]
+        curves = [run_coverage(cfg, workers=w, event_log=log) for w, log in zip((1, 2), logs)]
+        assert curves[0] == curves[1]
+        assert logs[0].getvalue() == logs[1].getvalue()
 
     def test_overflowing_power_logs_the_scalar_rule(self, cfg):
         # P * sum(g) overflows to inf, so the group SINR is inf or nan and
@@ -291,6 +300,29 @@ class TestOracleMinGroup:
         group = oracle_min_group(list(range(10)), 1.0, dep, ch, cfg)
         assert group.member_bs == (0,)
         assert group.best_effort
+
+    def test_rates_each_subset_once(self, cfg, monkeypatch):
+        rated = []
+
+        def counting_rate(members, *args):
+            rated.append(tuple(members))
+            return group_rate(members, *args)
+
+        monkeypatch.setattr(experiments, "group_rate", counting_rate)
+        dep = line_deployment([2, 3, 4, 5, 6])
+        ch = make_channel([1e-3, 9e-4, 8e-4, 7e-4, 6e-4])
+
+        def subsets(*sizes):
+            return sorted(m for n in sizes for m in itertools.combinations(range(5), n))
+
+        # an unmeetable demand rates every subset up to the size cap of 3
+        assert oracle_min_group(list(range(5)), 1e9, dep, ch, cfg).best_effort
+        assert sorted(rated) == subsets(1, 2, 3)
+        # a demand first met at size 2 stops there
+        rated.clear()
+        demand = (group_rate([0], 0, dep, ch, cfg) + group_rate([0, 1], 0, dep, ch, cfg)) / 2
+        assert oracle_min_group(list(range(5)), demand, dep, ch, cfg).member_bs == (0, 1)
+        assert sorted(rated) == subsets(1, 2)
 
     def test_too_many_candidates_rejected(self, cfg):
         dep = line_deployment(list(range(2, 16)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from cellless import (STATE_CODE, STATE_ORDER, BsPowerState, ConfigError, Deployment,
+from cellless import (BsPowerState, ConfigError, Deployment,
                       PlacementFailure, RandomStream, ScenarioConfig, config_lines,
                       generate_deployment, load_config, nearest_candidates, total_power_mw)
 from cellless.scenario import _label_key, _philox_key
@@ -52,10 +52,10 @@ def _reference_deployment(cfg, stream, n_mt=1):
             taken = mt_positions.tolist() + acc
             if all((px - x) ** 2 + (py - y) ** 2 >= min_sq for px, py in taken):
                 acc.append((x, y))
-    states = [STATE_CODE[BsPowerState.READY]] * cfg.n_bs
+    states = [BsPowerState.READY] * cfg.n_bs
     loads = [0] * cfg.n_bs
     for b in rng.choice(cfg.n_bs, size=cfg.n_busy_bs, replace=False):
-        states[b] = STATE_CODE[BsPowerState.TRANSFERRING]
+        states[b] = BsPowerState.TRANSFERRING
         loads[b] = 1
     return Deployment(np.array(acc), mt_positions, tuple(states), tuple(loads))
 
@@ -131,6 +131,12 @@ class TestScenarioConfig:
     def test_invariant_violations_rejected(self, bad):
         with pytest.raises(ConfigError):
             ScenarioConfig(**bad)
+
+    def test_state_powers_keyed_by_code(self, cfg):
+        # a state is its code, so the codes 0-3 key the same table
+        coded = ScenarioConfig(state_power_mw={0: 10.0, 1: 50.0, 2: 80.0, 3: 200.0})
+        assert coded == cfg
+        assert config_lines(coded) == config_lines(cfg)
 
     def test_state_powers_must_increase(self):
         powers = {BsPowerState.SLEEPING: 50.0, BsPowerState.LISTENING: 50.0,
@@ -259,11 +265,11 @@ class TestGenerateDeployment:
         assert np.all(dep.bs_positions >= 0.0) and np.all(dep.bs_positions <= 50.0)
         assert tuple(dep.mt_positions[0]) == (25.0, 25.0)
         busy = [b for b in range(50)
-                if dep.bs_states[b] == STATE_CODE[BsPowerState.TRANSFERRING]]
+                if dep.bs_states[b] == BsPowerState.TRANSFERRING]
         assert len(busy) == 30
         assert all(dep.bs_load[b] == 1 for b in busy)
         rest = [b for b in range(50) if b not in busy]
-        assert all(dep.bs_states[b] == STATE_CODE[BsPowerState.READY] and dep.bs_load[b] == 0
+        assert all(dep.bs_states[b] == BsPowerState.READY and dep.bs_load[b] == 0
                    for b in rest)
 
     def test_exclusion_radius_holds(self, cfg):
@@ -289,7 +295,7 @@ class TestGenerateDeployment:
     def test_single_ready_bs(self):
         cfg = ScenarioConfig(n_bs=1, n_busy_bs=0, n_candidates=1, max_group_size=1)
         dep = generate_deployment(cfg, RandomStream(1, "t", 0).rng())
-        assert dep.bs_states.tolist() == [STATE_CODE[BsPowerState.READY]]
+        assert dep.bs_states.tolist() == [BsPowerState.READY]
         assert dep.bs_load.tolist() == [0]
 
     def test_impossible_packing_fails(self):
@@ -439,29 +445,28 @@ class TestDeploymentArrays:
         dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
         assert dep.bs_states.dtype == np.int8
         assert dep.bs_load.dtype.kind == "i" and dep.bs_load.dtype.itemsize > 1
-        decoded = {STATE_ORDER[code] for code in dep.bs_states.tolist()}
+        decoded = {BsPowerState(code) for code in dep.bs_states.tolist()}
         assert decoded == {BsPowerState.READY, BsPowerState.TRANSFERRING}
-        busy = dep.bs_states == STATE_CODE[BsPowerState.TRANSFERRING]
+        busy = dep.bs_states == BsPowerState.TRANSFERRING
         assert np.array_equal(dep.transferring_mask, busy)
         assert np.array_equal(dep.bs_load, busy.astype(int))
 
     def test_code_table_follows_state_order(self):
-        assert [STATE_CODE[s] for s in STATE_ORDER] == [0, 1, 2, 3]
+        assert [int(s) for s in BsPowerState] == [0, 1, 2, 3]
 
     def test_caller_arrays_are_copied_not_frozen(self):
         pos = np.array([[25.0, 30.0], [25.0, 20.0]])
         mt = np.array([[25.0, 25.0]])
-        states = np.array([STATE_CODE[BsPowerState.READY],
-                           STATE_CODE[BsPowerState.TRANSFERRING]], dtype=np.int8)
+        states = np.array([BsPowerState.READY, BsPowerState.TRANSFERRING], dtype=np.int8)
         loads = np.array([0, 1])
         dep = Deployment(pos, mt, states, loads)
         for arr in (pos, mt, states, loads):
             assert arr.flags.writeable
         pos[0, 0] = 0.0
-        states[0] = STATE_CODE[BsPowerState.SLEEPING]
+        states[0] = BsPowerState.SLEEPING
         loads[1] = 5
         assert dep.bs_positions[0, 0] == 25.0
-        assert dep.bs_states[0] == STATE_CODE[BsPowerState.READY]
+        assert dep.bs_states[0] == BsPowerState.READY
         assert dep.bs_load[1] == 1
 
     @pytest.mark.parametrize("codes", [
@@ -471,18 +476,24 @@ class TestDeploymentArrays:
         with pytest.raises(ValueError, match="state codes must lie in"):
             Deployment([[25.0, 30.0]], [[25.0, 25.0]], codes, (0,))
 
-    @pytest.mark.parametrize("codes", [(BsPowerState.READY,), (2.0,)])
+    @pytest.mark.parametrize("codes", [(2.0,)])
     def test_non_integer_codes_rejected(self, codes):
         with pytest.raises(ValueError, match="must hold integers"):
             Deployment([[25.0, 30.0]], [[25.0, 25.0]], codes, (0,))
 
     def test_loaded_listening_bs_rejected(self):
-        codes = (STATE_CODE[BsPowerState.TRANSFERRING], STATE_CODE[BsPowerState.LISTENING])
+        codes = (BsPowerState.TRANSFERRING, BsPowerState.LISTENING)
         with pytest.raises(ValueError, match="a loaded BS must be in the transferring state"):
             Deployment([[25.0, 30.0], [25.0, 20.0]], [[25.0, 25.0]], codes, (1, 1))
 
+    @pytest.mark.parametrize("state", [BsPowerState.READY, BsPowerState.TRANSFERRING],
+                             ids=["ready", "transferring"])
+    def test_negative_load_rejected(self, state):
+        with pytest.raises(ValueError, match="a BS load must be non-negative"):
+            Deployment([[25.0, 30.0]], [[25.0, 25.0]], (state,), (-3,))
+
     def test_per_bs_lengths_must_match(self):
-        ready = STATE_CODE[BsPowerState.READY]
+        ready = BsPowerState.READY
         with pytest.raises(ValueError, match="one entry per base station"):
             Deployment([[25.0, 30.0], [25.0, 20.0]], [[25.0, 25.0]], (ready,), (0, 0))
         with pytest.raises(ValueError, match="one entry per base station"):
