@@ -1,5 +1,14 @@
 """Monte Carlo simulator of SDN-controlled cooperative cell-less networks."""
 
+import os
+
+# No code path here calls BLAS or LAPACK, but numpy's bundled OpenBLAS
+# (pthreads build) starts one worker per extra CPU when numpy is imported,
+# and that worker busy-waits for about 80 ms of CPU in every command. One
+# thread starts none. It must be set before the first import of numpy;
+# setdefault keeps a value the user chose.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .channel import (ChannelSample, downlink_sinr, path_loss, sample_channel,
                       spectral_efficiency, uplink_joint_snr)
 from .controller import (CoopGroup, form_group, group_rate, nearest_awake,

@@ -15,6 +15,12 @@ from .errors import DomainError, EmptyGroup
 from .scenario import Deployment, RandomStream, ScenarioConfig
 
 
+def check_gains(gains: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every gain is positive and finite."""
+    if not np.all(np.isfinite(gains)) or np.any(gains <= 0.0):
+        raise ValueError("gains must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ChannelSample:
     """Per-(BS, terminal) unitless power gains for one Monte Carlo trial."""
@@ -26,8 +32,7 @@ class ChannelSample:
         object.__setattr__(self, "gains", g)
         if g.ndim != 2:
             raise ValueError("gains must be an (n_bs, n_mt) matrix")
-        if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-            raise ValueError("gains must be positive and finite")
+        check_gains(g)
         g.setflags(write=False)
 
 

@@ -7,6 +7,7 @@ CSV/JSON reports, and exposes the built-in validation suites. Exit codes:
 
 import argparse
 import errno
+import io
 import math
 import os
 import sys
@@ -193,30 +194,31 @@ def _dispatch(args, cfg) -> int:
             print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
         return 0 if all(passed for _, passed, _ in rows) else 1
 
-    if args.output is not None:
-        _check_report_path(args.output)
+    event_log = getattr(args, "event_log", None)
+    for path in (args.output, event_log):
+        if path is not None:
+            _check_report_path(path)
     started = time.perf_counter()
-    event_fh = None
-    try:
-        if getattr(args, "event_log", None):
-            event_fh = open(args.event_log, "w")
-        if args.command == "coverage":
-            payload = run_coverage(cfg, thresholds_db=args.thresholds_db,
-                                   workers=args.workers, event_log=event_fh)
-        elif args.command == "bs-energy":
-            payload = run_bs_energy(
-                cfg, sleeping_counts=args.sleeping_counts,
-                group_sizes=args.group_sizes or DEFAULT_BS_GROUP_SIZES,
-                n_users=args.n_users)
-        elif args.command == "mt-energy":
-            payload = run_mt_energy(
-                cfg, group_sizes=args.group_sizes or DEFAULT_MT_GROUP_SIZES,
-                workers=args.workers)
-        else:  # unreachable: argparse restricts the choices
-            raise ConfigError(f"unknown command {args.command}")
-    finally:
-        if event_fh is not None:
-            event_fh.close()
+    if args.command == "coverage":
+        # the log is written after the scan, so it is held until the run
+        # returns: a run that fails leaves an earlier log alone
+        events = io.StringIO() if event_log else None
+        payload = run_coverage(cfg, thresholds_db=args.thresholds_db,
+                               workers=args.workers, event_log=events)
+        if events is not None:
+            with open(event_log, "w") as fh:
+                fh.write(events.getvalue())
+    elif args.command == "bs-energy":
+        payload = run_bs_energy(
+            cfg, sleeping_counts=args.sleeping_counts,
+            group_sizes=args.group_sizes or DEFAULT_BS_GROUP_SIZES,
+            n_users=args.n_users)
+    elif args.command == "mt-energy":
+        payload = run_mt_energy(
+            cfg, group_sizes=args.group_sizes or DEFAULT_MT_GROUP_SIZES,
+            workers=args.workers)
+    else:  # unreachable: argparse restricts the choices
+        raise ConfigError(f"unknown command {args.command}")
     report = ExperimentReport(args.command, cfg, payload,
                               time.perf_counter() - started)
     _emit(report, args)

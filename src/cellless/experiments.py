@@ -31,8 +31,8 @@ from functools import partial
 
 import numpy as np
 
-from .channel import (downlink_sinr, path_loss, sample_channel, spectral_efficiency,
-                      uplink_joint_snr)
+from .channel import (check_gains, downlink_sinr, path_loss, sample_channel,
+                      spectral_efficiency, uplink_joint_snr)
 from .controller import (IDLE_STATES, CoopGroup, form_group, group_rate, nearest_awake,
                          start_service, transition_many)
 from .errors import BusyBs, IllegalTransition, InfeasibleConfig
@@ -197,8 +197,7 @@ def draw_block(cfg: ScenarioConfig, label: str, start: int, stop: int):
     center = cfg.area_side_m / 2.0
     dist = np.hypot(positions[..., 0] - center, positions[..., 1] - center)
     gains = path_loss(dist, cfg) * fade
-    if not np.all(np.isfinite(gains)) or np.any(gains <= 0.0):
-        raise ValueError("gains must be positive and finite")
+    check_gains(gains)
     return dist, gains, busy
 
 

@@ -27,6 +27,8 @@ class BsPowerState(IntEnum):
     TRANSFERRING = 3
 
 
+_FADING_MARGIN = 2.0 ** 64   # headroom for a fading draw, see ScenarioConfig
+
 _INT_FIELDS = ("n_bs", "n_busy_bs", "n_candidates", "max_group_size", "n_trials", "seed")
 _FLOAT_FIELDS = ("area_side_m", "bs_tx_power_mw", "mt_tx_power_mw", "path_loss_exponent",
                  "reference_distance_m", "noise_power_mw", "min_distance_m")
@@ -72,12 +74,20 @@ class ScenarioConfig:
         for name in _FLOAT_FIELDS:
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and strictly positive")
-        # the farthest BS-terminal pair lies a diagonal apart; a path-loss gain
-        # below the smallest normal double would underflow the channel to 0
+        # A gain is a path loss in (0, 1] times a unit-mean exponential fading
+        # draw, which falls outside [2**-64, 2**64] with probability about
+        # 2**-64. Both rules keep that margin: the weakest path loss (the
+        # farthest BS-terminal pair lies a diagonal apart) times the smallest
+        # such draw stays a normal double, and the transmit power summed over
+        # every BS at the largest such gain stays finite.
         farthest = max(math.sqrt(2.0) * self.area_side_m, self.reference_distance_m)
-        if (farthest / self.reference_distance_m) ** -self.path_loss_exponent < sys.float_info.min:
+        if ((farthest / self.reference_distance_m) ** -self.path_loss_exponent
+                < sys.float_info.min * _FADING_MARGIN):
             raise ConfigError("path loss underflows across the area: lower "
                               "path_loss_exponent or area_side_m")
+        if self.bs_tx_power_mw * self.n_bs * _FADING_MARGIN > sys.float_info.max:
+            raise ConfigError("bs_tx_power_mw overflows the downlink power sum: "
+                              "lower bs_tx_power_mw")
         if set(self.state_power_mw) != set(BsPowerState):
             raise ConfigError("state_power_mw needs exactly the four power states")
         powers = [self.state_power_mw[s] for s in BsPowerState]
@@ -325,16 +335,17 @@ def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
     and thinned a batch at a time; the result is bit-identical to thinning
     one proposal at a time in draw order, where a proposal survives iff it
     clears every terminal, every BS placed in earlier batches and every
-    earlier survivor of its own batch. Only proposals that clash inside
-    their batch need settling in draw order. A batch whose clash matrix
-    holds exactly ``need`` clashes skips that step, exactly: each proposal
+    earlier survivor of its own batch. One clash matrix per batch tests the
+    proposals against every point taken so far and against each other; only
+    those that clash inside their batch need settling in draw order. A batch
+    whose matrix holds exactly ``need`` clashes survives whole: each proposal
     clashes with itself (distance 0 < ``min_distance_m ** 2``, positive as
-    the config requires), so those are the diagonal and no proposal depends
-    on another. (Were the square to underflow to 0, nothing would clash and
-    the settle step would run and change nothing.) The typical user sits at
-    the exact center; additional terminals are uniform. ``n_busy_bs``
-    stations, picked by one ``rng.choice``, are marked transferring with
-    one served terminal each (pure interferers); the rest start ready.
+    the config requires), so those are the batch's diagonal. (Were the square
+    to underflow to 0, nothing would clash and the settle step would run and
+    change nothing.) The typical user sits at the exact center; additional
+    terminals are uniform. ``n_busy_bs`` stations, picked by one
+    ``rng.choice``, are marked transferring with one served terminal each
+    (pure interferers); the rest start ready.
     """
     area = cfg.area_side_m
     center = np.array([[area / 2.0, area / 2.0]])
@@ -357,31 +368,29 @@ def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
                 f"spacing after {limit} attempts")
         batch = rng.uniform(0.0, area, size=(need, 2))
         attempts += need
+        pts = np.concatenate([taken, batch])
         # every squared distance is rounded as the scalar (px - x) ** 2 +
-        # (py - y) ** 2 would round it: two squares, then one sum
-        if len(taken) == 1:
-            d = batch - taken
-            d *= d
-            ok = d[:, 0] + d[:, 1] >= min_sq
-        else:
-            sq = (batch[:, None, :] - taken) ** 2
-            ok = (sq[..., 0] + sq[..., 1] >= min_sq).all(axis=1)
-        if need > 1:
-            # one axis at a time: a third of the 3-D form's time on a full batch
-            d2 = np.subtract.outer(batch[:, 0], batch[:, 0])
-            dy = np.subtract.outer(batch[:, 1], batch[:, 1])
-            d2 *= d2
-            dy *= dy
-            d2 += dy
-            clash = d2 < min_sq
-            if np.count_nonzero(clash) != need:   # not the diagonal alone
-                np.fill_diagonal(clash, False)
-                # only a proposal that clashes inside its batch depends on
-                # which earlier proposals survived; settle those in draw order
-                for i in np.flatnonzero(ok & clash.any(axis=1)):
-                    if (ok[:i] & clash[i, :i]).any():
-                        ok[i] = False
-        taken = np.concatenate([taken, batch if np.count_nonzero(ok) == need else batch[ok]])
+        # (py - y) ** 2 would round it: two squares, then one sum; one axis
+        # at a time, under half the 3-D broadcast's time on a full batch
+        d2 = np.subtract.outer(batch[:, 0], pts[:, 0])
+        dy = np.subtract.outer(batch[:, 1], pts[:, 1])
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        clash = d2 < min_sq
+        if np.count_nonzero(clash) == need:   # the batch's diagonal alone
+            taken = pts
+            continue
+        n_taken = len(taken)
+        ok = ~clash[:, :n_taken].any(axis=1)
+        inner = clash[:, n_taken:]
+        np.fill_diagonal(inner, False)
+        # only a proposal that clashes inside its batch depends on which
+        # earlier proposals survived; settle those in draw order
+        for i in np.flatnonzero(ok & inner.any(axis=1)):
+            if (ok[:i] & inner[i, :i]).any():
+                ok[i] = False
+        taken = np.concatenate([taken, batch[ok]])
     placed = taken[len(mt_positions):]
 
     # numpy gets .value, never a member: np.full(50, member) took 5.2 µs, not 1.9 (numpy 2.4)

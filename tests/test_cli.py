@@ -1,9 +1,13 @@
 import argparse
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cellless
 from cellless import (ExperimentReport, IoFailure, MtEnergyCurve, ScenarioConfig,
                       cli, parse_csv, render_csv)
 
@@ -71,6 +75,7 @@ def test_workers_below_one_exit_2(capsys, command):
     ("--state_power_mw", "10,50,80,inf"),
     ("--min_distance_m", "40"),
     ("--path_loss_exponent", "500"),
+    ("--bs_tx_power_mw", "1e308"),
 ])
 def test_bad_scenario_exits_2(capsys, flag, value):
     assert cli.main(["coverage", "--n_trials", "5", flag, value]) == 2
@@ -101,6 +106,17 @@ def test_failed_run_leaves_report_path_alone(tmp_path, capsys):
         assert cli.main(["coverage", "--n_trials", "5", "--min_distance_m", "40",
                          "--output", str(out)]) == 2
     assert old.read_text() == "earlier report\n"
+    assert not new.exists()
+
+
+def test_failed_run_leaves_an_earlier_event_log_alone(tmp_path, capsys):
+    old = tmp_path / "old.log"
+    old.write_text("earlier log\n")
+    new = tmp_path / "new.log"
+    for log in (old, new):
+        assert cli.main(["coverage", "--n_trials", "5", "--min_distance_m", "40",
+                         "--event-log", str(log), "--output", str(tmp_path / "x.csv")]) == 2
+    assert old.read_text() == "earlier log\n"
     assert not new.exists()
 
 
@@ -166,3 +182,22 @@ def test_failed_validation_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_validation", lambda cfg: [("suite", False, "detail")])
     assert cli.main(["validate"]) == 1
     assert "suite: FAIL (detail)" in capsys.readouterr().out
+
+
+def _tasks_after_import(env_update):
+    """Threads of a fresh interpreter that has imported cellless, and its OPENBLAS_NUM_THREADS."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_update)
+    env["PYTHONPATH"] = str(Path(cellless.__file__).parents[1])
+    code = ("import os, cellless; print(len(os.listdir('/proc/self/task')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    return int(out[0]), out[1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts threads in /proc; a BLAS pool needs two CPUs")
+def test_import_starts_no_blas_thread():
+    assert _tasks_after_import({}) == (1, "1")
+    assert _tasks_after_import({"OPENBLAS_NUM_THREADS": "2"})[1] == "2"

@@ -8,12 +8,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from cellless import (BsEnergyCurve, BsPowerState, CoverageCurve, InfeasibleConfig,
-                      MtEnergyCurve, ScenarioConfig, bs_energy_ledger, controller,
-                      experiments, form_group, group_rate, mt_energy_trial, nearest_candidates,
-                      oracle_min_group, oracle_power_solve, run_bs_energy, run_coverage,
-                      run_mt_energy, run_validation, spectral_efficiency,
-                      uplink_joint_snr)
+from cellless import (BsEnergyCurve, BsPowerState, ChannelSample, CoverageCurve,
+                      InfeasibleConfig, MtEnergyCurve, ScenarioConfig, bs_energy_ledger,
+                      controller, experiments, form_group, group_rate, mt_energy_trial,
+                      nearest_candidates, oracle_min_group, oracle_power_solve,
+                      run_bs_energy, run_coverage, run_mt_energy, run_validation,
+                      spectral_efficiency, uplink_joint_snr)
 from cellless.experiments import (DEFAULT_THRESHOLDS_DB, _state_machine_ok, binomial_ci95,
                                   bs_energy_trial, coverage_block, coverage_instance,
                                   coverage_trial, grouping_check, mean_ci95,
@@ -174,15 +174,17 @@ class TestBlockKernels:
         assert curves[0] == curves[1]
         assert logs[0].getvalue() == logs[1].getvalue()
 
-    def test_overflowing_power_logs_the_scalar_rule(self, cfg):
-        # P * sum(g) overflows to inf, so the group SINR is inf or nan and
-        # form_group's rate < demand is false; any RuntimeWarning fails here
-        big = replace(cfg, bs_tx_power_mw=1e308, n_trials=60)
+    def test_overflowing_sinr_logs_the_scalar_rule(self, cfg):
+        # with no interferer, P * sum(g) / noise overflows to inf in some
+        # trials, where form_group's rate < demand is false; any
+        # RuntimeWarning fails here
+        big = replace(cfg, noise_power_mw=1e-307, n_busy_bs=0, n_trials=60)
         log = io.StringIO()
         run_coverage(big, event_log=log)
         lines = log.getvalue().splitlines()
         assert lines == [line for _, line, _ in _scalar_coverage(big, range(60))]
         assert any(line.endswith("best_effort=false") for line in lines)
+        assert any(line.endswith("best_effort=true") for line in lines)
 
 
 class TestBsEnergy:
@@ -448,3 +450,12 @@ def test_state_machine_row_catches_a_corrupted_table(monkeypatch, corrupt):
     monkeypatch.setattr(controller, "_LEGAL_TRANSITIONS",
                         corrupt(controller._LEGAL_TRANSITIONS))
     assert not _state_machine_ok()
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+def test_draw_block_and_channel_sample_share_the_gains_check(monkeypatch, bad):
+    with pytest.raises(ValueError, match="^gains must be positive and finite$"):
+        ChannelSample(np.full((3, 1), bad))
+    monkeypatch.setattr(experiments, "path_loss", lambda dist, cfg: np.full(dist.shape, bad))
+    with pytest.raises(ValueError, match="^gains must be positive and finite$"):
+        experiments.draw_block(ScenarioConfig(n_trials=2), "coverage", 0, 2)

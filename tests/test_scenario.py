@@ -1,4 +1,6 @@
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -127,10 +129,33 @@ class TestScenarioConfig:
         dict(state_power_mw={BsPowerState.SLEEPING: float("nan"),
                              BsPowerState.LISTENING: 50.0, BsPowerState.READY: 80.0,
                              BsPowerState.TRANSFERRING: 200.0}),
+        # within the float range, but outside the fading margin
+        dict(path_loss_exponent=166.0),
+        dict(bs_tx_power_mw=1e308),
     ])
     def test_invariant_violations_rejected(self, bad):
         with pytest.raises(ConfigError):
             ScenarioConfig(**bad)
+
+    def test_path_loss_rule_keeps_a_fading_margin_at_its_boundary(self):
+        # the farthest pair lies exactly two reference distances apart, so the
+        # weakest path loss is 2**-exponent; the rule wants 2**-1022 * 2**64
+        ref = math.sqrt(2.0) * 50.0 / 2.0
+        edge = ScenarioConfig(reference_distance_m=ref, path_loss_exponent=958.0)
+        assert (math.sqrt(2.0) * edge.area_side_m / ref) ** -edge.path_loss_exponent == 2.0 ** -958
+        with pytest.raises(ConfigError, match="path loss underflows"):
+            ScenarioConfig(reference_distance_m=ref,
+                           path_loss_exponent=math.nextafter(958.0, math.inf))
+
+    @pytest.mark.parametrize("n_bs", [1, 50])
+    def test_tx_power_rule_keeps_a_fading_margin_at_its_boundary(self, n_bs):
+        sizes = dict(n_bs=n_bs, n_busy_bs=0, n_candidates=1, max_group_size=1)
+        edge = sys.float_info.max / 2.0 ** 64 / n_bs
+        while edge * n_bs * 2.0 ** 64 > sys.float_info.max:
+            edge = math.nextafter(edge, 0.0)
+        ScenarioConfig(bs_tx_power_mw=edge, **sizes)
+        with pytest.raises(ConfigError, match="bs_tx_power_mw overflows"):
+            ScenarioConfig(bs_tx_power_mw=math.nextafter(edge, math.inf), **sizes)
 
     def test_state_powers_keyed_by_code(self, cfg):
         # a state is its code, so the codes 0-3 key the same table
@@ -315,6 +340,9 @@ class TestGenerateDeployment:
         ({}, 200),
         ({"min_distance_m": 3.0}, 60),
         ({"min_distance_m": 5.0, "n_bs": 40}, 60),
+        # the clearance squares to 0: nothing clashes, not even a proposal
+        # with itself, so every batch goes through the settle step
+        ({"min_distance_m": 1e-200}, 60),
     ])
     def test_batched_thinning_matches_sequential_reference(self, overrides, n_trials, n_mt):
         cfg = ScenarioConfig(**overrides)
