@@ -23,7 +23,7 @@ from .experiments import (BsEnergyCurve, CoverageCurve, MtEnergyCurve,
                           run_mt_energy, run_validation)
 from .report import (ExperimentReport, config_hash, emit_csv, emit_json,
                      parse_csv, render_csv, summarize, to_dict)
-from .scenario import (BsPowerState, Deployment, RandomStream, ScenarioConfig,
+from .scenario import (BsPowerState, Deployment, Placement, RandomStream, ScenarioConfig,
                        config_lines, generate_deployment, load_config,
                        nearest_candidates, total_power_mw)
 

@@ -15,11 +15,14 @@ substream and aggregation walks trials in index order, so outputs are
 bit-identical for any worker count.
 
 ``run_coverage`` and ``run_mt_energy`` run their trials in blocks of
-``BLOCK_TRIALS``: each trial draws its deployment and fading from its own
+``BLOCK_TRIALS``: each trial draws its placement and fading from its own
 substreams, and everything after the draws is computed once per block on
-stacked ``(trials, n_bs)`` arrays. The per-trial functions
+stacked ``(trials, n_bs)`` arrays. The block path reads each placement's
+arrays and builds no :class:`Deployment`. The per-trial functions
 (:func:`coverage_trial`, :func:`mt_energy_trial`) are the readable scalar
-references the block kernels are checked against.
+references the block kernels are checked against; they, the BS energy
+trial and the validation suites build the controller state of each draw
+with :meth:`Deployment.from_placement`.
 """
 
 import itertools
@@ -169,7 +172,7 @@ def _scan_trials(block, n_trials: int, workers: int, start: int = 0):
 
 def draw_instance(cfg: ScenarioConfig, base: RandomStream):
     """Deployment from ``base``'s "deploy" child, channel from its "fading" child."""
-    dep = generate_deployment(cfg, base.child("deploy").rng())
+    dep = Deployment.from_placement(generate_deployment(cfg, base.child("deploy").rng()))
     return dep, sample_channel(dep, cfg, base.child("fading"))
 
 
@@ -178,8 +181,11 @@ def draw_block(cfg: ScenarioConfig, label: str, start: int, stop: int):
 
     Each trial makes the draws :func:`draw_instance` makes, from the same
     "deploy" and "fading" substreams of ``label`` in the same order, so each
-    row is bit-identical to that trial's deployment and channel. Returns
-    ``(dist, gains, busy)``, each of shape ``(stop - start, n_bs)``.
+    row is bit-identical to that trial's deployment and channel: ``busy``
+    is the transferring mask of its :class:`Deployment`. Only the
+    placement's positions and busy mask are copied into the block; no
+    ``Deployment`` is built. Returns ``(dist, gains, busy)``, each of shape
+    ``(stop - start, n_bs)``.
     """
     trials = range(start, stop)
     base = RandomStream(cfg.seed, label)
@@ -189,9 +195,9 @@ def draw_block(cfg: ScenarioConfig, label: str, start: int, stop: int):
     busy = np.empty((len(trials), cfg.n_bs), dtype=bool)
     fade = np.empty((len(trials), cfg.n_bs))
     for i, (deploy_rng, fading_rng) in enumerate(zip(deploy, fading)):
-        dep = generate_deployment(cfg, deploy_rng)
-        positions[i] = dep.bs_positions
-        busy[i] = dep.transferring_mask
+        placed = generate_deployment(cfg, deploy_rng)
+        positions[i] = placed.bs_positions
+        busy[i] = placed.busy
         fade[i] = fading_rng.exponential(1.0, size=(cfg.n_bs, 1))[:, 0]
     # the typical user sits at the center, as generate_deployment puts it
     center = cfg.area_side_m / 2.0
@@ -328,7 +334,8 @@ def bs_energy_trial(cfg: ScenarioConfig, sleeping_counts, group_sizes,
     """
     base = RandomStream(cfg.seed, "bs-energy", trial)
     place_cfg = replace(cfg, n_busy_bs=0)
-    dep0 = generate_deployment(place_cfg, base.child("deploy").rng(), n_mt=n_users)
+    dep0 = Deployment.from_placement(
+        generate_deployment(place_cfg, base.child("deploy").rng(), n_mt=n_users))
     ch = sample_channel(dep0, cfg, base.child("fading"))
     # one permutation per trial: the first s entries sleep, nesting the sweeps
     perm = base.child("sleep").rng().permutation(cfg.n_bs)
@@ -504,28 +511,37 @@ def oracle_min_group(candidates, demand: float, dep, ch, cfg) -> CoopGroup:
 def oracle_power_solve(group, target_rate: float, dep, ch, cfg) -> float:
     """Bisect the typical user's transmit power that reaches a target uplink rate.
 
-    Independent numeric route for the algebraic power solution; brackets
-    [1e-6, 1e6] mW and stops at 1e-12 relative error on the rate.
+    Independent numeric route for the algebraic power solution. The bracket
+    comes from the problem: ``hi`` starts at the baseline power
+    ``mt_tx_power_mw`` and doubles while its rate falls short, then halves
+    while the half still reaches the target, which leaves ``hi / 2`` short.
+    Bisection then runs until the midpoint equals an end, and returns the
+    end that reaches the target.
     """
-    if not target_rate > 0:
-        raise ValueError("target_rate must be positive")
+    if not 0 < target_rate < math.inf:
+        raise ValueError("target_rate must be positive and finite")
 
     def rate(p):
         return spectral_efficiency(uplink_joint_snr(p, group, dep, ch, cfg))
 
-    lo, hi = 1e-6, 1e6
-    for _ in range(200):
+    # the rate grows with p, to inf once the SNR overflows, and is 0 at
+    # p = 0, so both loops end
+    hi = cfg.mt_tx_power_mw
+    while rate(hi) < target_rate:
+        hi *= 2.0
+    if hi == math.inf:
+        raise ValueError("no finite transmit power reaches target_rate")
+    while rate(0.5 * hi) >= target_rate:
+        hi *= 0.5
+    lo = 0.5 * hi
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # bracket exhausted at float resolution
-            break
-        r = rate(mid)
-        if abs(r - target_rate) <= 1e-12 * target_rate:
-            return mid
-        if r < target_rate:
+        if mid in (lo, hi):     # the bracket is two adjacent floats
+            return hi
+        if rate(mid) < target_rate:
             lo = mid
         else:
             hi = mid
-    return mid
 
 
 # ---------------------------------------------------------------------------

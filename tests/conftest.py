@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cellless import BsPowerState, ChannelSample, Deployment, ScenarioConfig
+from cellless import (BsPowerState, ChannelSample, Deployment, ScenarioConfig,
+                      generate_deployment)
 
 
 @pytest.fixture
@@ -29,6 +30,11 @@ def make_deployment(bs_positions, states=None, loads=None, mt_positions=None):
         mt_positions = [[25.0, 25.0]]
     return Deployment(bs_positions, np.asarray(mt_positions, dtype=float),
                       tuple(states), tuple(loads))
+
+
+def drawn_deployment(cfg, rng, n_mt=1):
+    """The at-rest ``Deployment`` of one placement drawn from ``rng``."""
+    return Deployment.from_placement(generate_deployment(cfg, rng, n_mt))
 
 
 def make_channel(gains_per_bs):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cellless import (BsPowerState, Deployment, DomainError, EmptyGroup, RandomStream,
-                      ScenarioConfig, downlink_sinr, generate_deployment, path_loss,
+                      ScenarioConfig, downlink_sinr, path_loss,
                       sample_channel, spectral_efficiency, uplink_joint_snr)
-from conftest import line_deployment, make_channel, make_deployment
+from conftest import drawn_deployment, line_deployment, make_channel, make_deployment
 
 BUSY = BsPowerState.TRANSFERRING
 READY = BsPowerState.READY
@@ -64,7 +64,7 @@ class TestFading:
             assert abs(measured - expected) / expected < 0.01
 
     def test_sample_channel_reproducible_and_positive(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
+        dep = drawn_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
         a = sample_channel(dep, cfg, RandomStream(cfg.seed, "f", 0))
         b = sample_channel(dep, cfg, RandomStream(cfg.seed, "f", 0))
         assert np.array_equal(a.gains, b.gains)

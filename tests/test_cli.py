@@ -82,6 +82,16 @@ def test_bad_scenario_exits_2(capsys, flag, value):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--mt_tx_power_mw", "1e308"),
+    ("--noise_power_mw", "5e-324"),
+])
+def test_overflowing_uplink_snr_exits_2_before_validating(capsys, flag, value):
+    assert cli.main(["validate", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "uplink SNR" in err
+
+
 @pytest.mark.parametrize("flag,name", [
     ("--output", "missing/x.csv"),
     ("--output", ""),                   # the directory itself

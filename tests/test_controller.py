@@ -5,10 +5,10 @@ import pytest
 
 from cellless import (BsPowerState, BusyBs, CoopGroup, DomainError, EmptyGroup,
                       IllegalTransition, NoBsAvailable, RandomStream, form_group,
-                      generate_deployment, group_rate, nearest_awake, nearest_candidates,
+                      group_rate, nearest_awake, nearest_candidates,
                       oracle_min_group, sample_channel, start_service, transition_many)
 from cellless import controller
-from conftest import line_deployment, make_channel
+from conftest import drawn_deployment, line_deployment, make_channel
 
 SLEEP = BsPowerState.SLEEPING
 LISTEN = BsPowerState.LISTENING
@@ -190,7 +190,7 @@ class TestFormGroup:
         hits = 0
         for trial in range(100):
             base = RandomStream(small_cfg.seed, "roundtrip", trial)
-            dep = generate_deployment(small_cfg, base.child("deploy").rng())
+            dep = drawn_deployment(small_cfg, base.child("deploy").rng())
             ch = sample_channel(dep, small_cfg, base.child("fading"))
             demand = float(base.child("demand").rng().uniform(0.0, 6.0))
             group = form_group(0, demand, dep, ch, small_cfg)
@@ -223,7 +223,7 @@ def test_greedy_matches_exhaustive_oracle(small_cfg):
     """Randomized equivalence: minimal-cardinality greedy vs subset search."""
     for trial in range(300):
         base = RandomStream(small_cfg.seed, "oracle-eq", trial)
-        dep = generate_deployment(small_cfg, base.child("deploy").rng())
+        dep = drawn_deployment(small_cfg, base.child("deploy").rng())
         ch = sample_channel(dep, small_cfg, base.child("fading"))
         demand = float(base.child("demand").rng().uniform(0.0, 8.0))
         got = form_group(0, demand, dep, ch, small_cfg)

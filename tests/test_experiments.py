@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from cellless import (BsEnergyCurve, BsPowerState, ChannelSample, CoverageCurve,
+from cellless import (BsEnergyCurve, BsPowerState, ChannelSample, CoverageCurve, Deployment,
                       InfeasibleConfig, MtEnergyCurve, ScenarioConfig, bs_energy_ledger,
                       controller, experiments, form_group, group_rate, mt_energy_trial,
                       nearest_candidates, oracle_min_group, oracle_power_solve,
@@ -167,6 +167,20 @@ class TestBlockKernels:
         for arr in coverage_block(cfg, 0, 4):
             assert arr.base is None
 
+    def test_block_path_builds_no_deployment(self, monkeypatch):
+        # every Deployment runs its check, so one that refuses to be built
+        # stops any path that builds one: the scalar reference does
+        def refuse(dep):
+            raise AssertionError("a Deployment was built")
+
+        monkeypatch.setattr(Deployment, "__post_init__", refuse)
+        cfg = ScenarioConfig(n_trials=5)
+        with pytest.raises(AssertionError, match="a Deployment was built"):
+            coverage_trial(cfg, 0)
+        sinr = coverage_block(cfg, 0, 5)[2]
+        assert sinr.shape == (5, 2) and np.all(sinr > 0)
+        assert mt_energy_block(cfg, (1, 2, 3), 0, 5).shape == (5, 3)
+
     def test_worker_count_at_block_edges(self, oracle):
         cfg = replace(oracle[0], n_trials=self.N_EDGE)
         logs = [io.StringIO(), io.StringIO()]
@@ -177,8 +191,10 @@ class TestBlockKernels:
     def test_overflowing_sinr_logs_the_scalar_rule(self, cfg):
         # with no interferer, P * sum(g) / noise overflows to inf in some
         # trials, where form_group's rate < demand is false; any
-        # RuntimeWarning fails here
-        big = replace(cfg, noise_power_mw=1e-307, n_busy_bs=0, n_trials=60)
+        # RuntimeWarning fails here. Coverage never reads the terminal
+        # power; it is lowered only so that the uplink rule accepts the noise.
+        big = replace(cfg, noise_power_mw=1e-307, mt_tx_power_mw=1e-20, n_busy_bs=0,
+                      n_trials=60)
         log = io.StringIO()
         run_coverage(big, event_log=log)
         lines = log.getvalue().splitlines()
@@ -285,6 +301,35 @@ class TestPowerSolve:
         dep = line_deployment([2.0])
         with pytest.raises(ValueError):
             oracle_power_solve([0], 0.0, dep, make_channel([1e-4]), cfg)
+
+    @pytest.mark.parametrize("target", [math.inf, math.nan])
+    def test_unbounded_target_rejected(self, cfg, target):
+        # no power reaches an infinite rate, and the bracket would never close
+        dep = line_deployment([2.0])
+        with pytest.raises(ValueError):
+            oracle_power_solve([0], target, dep, make_channel([1e-4]), cfg)
+
+    def test_unreachable_target_rejected(self, cfg):
+        # at 1e-3 SNR per mW the largest double reaches about 1014 bit/s/Hz
+        dep = line_deployment([2.0])
+        ch = make_channel([1e-10])
+        with pytest.raises(ValueError, match="no finite transmit power"):
+            oracle_power_solve([0], 2000.0, dep, ch, cfg)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"mt_tx_power_mw": 1e-300},
+        {"mt_tx_power_mw": 1e-9},
+        {"mt_tx_power_mw": 1e-5},
+        {"mt_tx_power_mw": 1e7},
+        {"mt_tx_power_mw": 1e12},
+        # 1e-300 overflows the uplink SNR at the default terminal power
+        {"noise_power_mw": 1e-280},
+    ])
+    def test_bracket_follows_the_problem(self, overrides):
+        # a fixed [1e-6, 1e6] mW bracket returned its edge outside that range
+        name, passed, detail = power_check(ScenarioConfig(**overrides), 200)
+        assert passed, f"{name}: {detail}"
 
 
 class TestOracleMinGroup:

@@ -11,7 +11,7 @@ from cellless import (BsPowerState, ConfigError, Deployment,
                       PlacementFailure, RandomStream, ScenarioConfig, config_lines,
                       generate_deployment, load_config, nearest_candidates, total_power_mw)
 from cellless.scenario import _label_key, _philox_key
-from conftest import make_deployment
+from conftest import drawn_deployment, make_deployment
 
 #: Every substream label the experiments and the validation suites draw from.
 CODE_LABELS = tuple(
@@ -29,7 +29,8 @@ def _reference_deployment(cfg, stream, n_mt=1):
 
     Draws exactly what `generate_deployment` draws and thins each proposal
     against every terminal and every BS accepted before it, in scalar
-    arithmetic.
+    arithmetic. Returns the reference ``Deployment``, its states and loads
+    set one busy station at a time, and the busy stations as a set.
     """
     rng = stream.rng()
     area = cfg.area_side_m
@@ -56,25 +57,33 @@ def _reference_deployment(cfg, stream, n_mt=1):
                 acc.append((x, y))
     states = [BsPowerState.READY] * cfg.n_bs
     loads = [0] * cfg.n_bs
-    for b in rng.choice(cfg.n_bs, size=cfg.n_busy_bs, replace=False):
+    busy = {int(b) for b in rng.choice(cfg.n_bs, size=cfg.n_busy_bs, replace=False)}
+    for b in busy:
         states[b] = BsPowerState.TRANSFERRING
         loads[b] = 1
-    return Deployment(np.array(acc), mt_positions, tuple(states), tuple(loads))
+    return Deployment(np.array(acc), mt_positions, tuple(states), tuple(loads)), busy
 
 
 def _placed_as_reference(cfg, stream, n_mt):
-    """Both placements fail alike (None), or they agree bit for bit."""
+    """Both placements fail alike (None), or they agree bit for bit.
+
+    The placement must match the reference's positions and busy set, and
+    the ``Deployment`` built from it the reference's codes and loads.
+    """
     try:
-        want = _reference_deployment(cfg, stream, n_mt)
+        want, want_busy = _reference_deployment(cfg, stream, n_mt)
     except PlacementFailure as exc:
-        with pytest.raises(PlacementFailure, match=re.escape(str(exc))):
+        with pytest.raises(PlacementFailure, match=f"^{re.escape(str(exc))}$"):
             generate_deployment(cfg, stream.rng(), n_mt)
         return None
     got = generate_deployment(cfg, stream.rng(), n_mt)
     assert got.bs_positions.tobytes() == want.bs_positions.tobytes()
     assert got.mt_positions.tobytes() == want.mt_positions.tobytes()
-    assert np.array_equal(got.bs_states, want.bs_states)
-    assert np.array_equal(got.bs_load, want.bs_load)
+    assert got.busy.dtype == bool and got.busy.shape == (cfg.n_bs,)
+    assert set(np.flatnonzero(got.busy).tolist()) == want_busy
+    dep = Deployment.from_placement(got)
+    assert np.array_equal(dep.bs_states, want.bs_states)
+    assert np.array_equal(dep.bs_load, want.bs_load)
     return got
 
 
@@ -132,6 +141,8 @@ class TestScenarioConfig:
         # within the float range, but outside the fading margin
         dict(path_loss_exponent=166.0),
         dict(bs_tx_power_mw=1e308),
+        dict(mt_tx_power_mw=1e308),
+        dict(noise_power_mw=5e-324),
     ])
     def test_invariant_violations_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -156,6 +167,37 @@ class TestScenarioConfig:
         ScenarioConfig(bs_tx_power_mw=edge, **sizes)
         with pytest.raises(ConfigError, match="bs_tx_power_mw overflows"):
             ScenarioConfig(bs_tx_power_mw=math.nextafter(edge, math.inf), **sizes)
+
+    @pytest.mark.parametrize("n_bs", [1, 50])
+    def test_uplink_rule_keeps_a_fading_margin_at_its_boundary(self, n_bs):
+        sizes = dict(n_bs=n_bs, n_busy_bs=0, n_candidates=1, max_group_size=1)
+
+        def accepted(key, value):
+            try:
+                ScenarioConfig(**sizes, **{key: value})
+            except ConfigError as exc:
+                assert "overflows the uplink SNR" in str(exc)
+                return False
+            return True
+
+        def edge(key, start, outward):
+            # the accepted value next to the first rejected one, within 64
+            # steps of the float grid from where the rule puts it
+            value = start
+            for _ in range(64):
+                if not accepted(key, value):
+                    value = math.nextafter(value, -outward)
+                elif accepted(key, math.nextafter(value, outward)):
+                    value = math.nextafter(value, outward)
+                else:
+                    return value
+            pytest.fail(f"no {key} boundary near {start!r}")
+
+        margin = 2.0 ** 64 * n_bs
+        noise, power = ScenarioConfig().noise_power_mw, ScenarioConfig().mt_tx_power_mw
+        # a larger terminal power, or a smaller noise, is rejected
+        edge("mt_tx_power_mw", sys.float_info.max / margin * noise, math.inf)
+        edge("noise_power_mw", power * margin / sys.float_info.max, -math.inf)
 
     def test_state_powers_keyed_by_code(self, cfg):
         # a state is its code, so the codes 0-3 key the same table
@@ -285,7 +327,7 @@ class TestReusedSubstreams:
 
 class TestGenerateDeployment:
     def test_reference_scenario_layout(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
+        dep = drawn_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
         assert dep.n_bs == 50 and dep.n_mt == 1
         assert np.all(dep.bs_positions >= 0.0) and np.all(dep.bs_positions <= 50.0)
         assert tuple(dep.mt_positions[0]) == (25.0, 25.0)
@@ -310,8 +352,8 @@ class TestGenerateDeployment:
 
     def test_bit_identical_repeats(self, cfg):
         stream = RandomStream(cfg.seed, "t", 2)
-        a = generate_deployment(cfg, stream.rng())
-        b = generate_deployment(cfg, stream.rng())
+        a = drawn_deployment(cfg, stream.rng())
+        b = drawn_deployment(cfg, stream.rng())
         assert np.array_equal(a.bs_positions, b.bs_positions)
         assert np.array_equal(a.mt_positions, b.mt_positions)
         assert np.array_equal(a.bs_states, b.bs_states)
@@ -319,7 +361,7 @@ class TestGenerateDeployment:
 
     def test_single_ready_bs(self):
         cfg = ScenarioConfig(n_bs=1, n_busy_bs=0, n_candidates=1, max_group_size=1)
-        dep = generate_deployment(cfg, RandomStream(1, "t", 0).rng())
+        dep = drawn_deployment(cfg, RandomStream(1, "t", 0).rng())
         assert dep.bs_states.tolist() == [BsPowerState.READY]
         assert dep.bs_load.tolist() == [0]
 
@@ -330,7 +372,7 @@ class TestGenerateDeployment:
             generate_deployment(cfg, RandomStream(1, "t", 0).rng())
 
     def test_extra_terminals_uniform_user_centered(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 3).rng(), n_mt=10)
+        dep = drawn_deployment(cfg, RandomStream(cfg.seed, "t", 3).rng(), n_mt=10)
         assert dep.n_mt == 10
         assert tuple(dep.mt_positions[0]) == (25.0, 25.0)
         assert np.all(dep.mt_positions >= 0.0) and np.all(dep.mt_positions <= 50.0)
@@ -397,23 +439,36 @@ class TestGenerateDeployment:
         ({"n_bs": 200}, 8),
     ])
     def test_extreme_bs_counts_match_reference(self, overrides, n_trials, n_mt):
-        # one BS never builds a clash matrix; 200 BSs almost always clash
+        # one BS tests one proposal per batch, a 1 x (n_mt + 1) clash matrix;
+        # 200 BSs almost always clash
         cfg = ScenarioConfig(**overrides)
         stream = RandomStream(6, "bs-count")
         for t in range(n_trials):
             assert _placed_as_reference(cfg, stream.for_trial(t), n_mt) is not None
 
     def test_single_bs_draws_are_uniform(self):
-        # mean of 1e5 single-BS draws within 1% of the center, per axis
         cfg = ScenarioConfig(n_bs=1, n_busy_bs=0, n_candidates=1, max_group_size=1)
         stream = RandomStream(42, "uniformity")
-        total = np.zeros(2)
         n = 100000
-        for rng in stream.rngs(range(n)):
-            total += generate_deployment(cfg, rng).bs_positions[0]
-        mean = total / n
+        pos = np.empty((n, 2))
+        for i, rng in enumerate(stream.rngs(range(n))):
+            pos[i] = generate_deployment(cfg, rng).bs_positions[0]
+        # mean of 1e5 single-BS draws within 1% of the center, per axis
+        mean = pos.mean(axis=0)
         assert abs(mean[0] - 25.0) < 0.25
         assert abs(mean[1] - 25.0) < 0.25
+        # ten 5 m bins per axis. The draw is uniform on the square less the
+        # 0.5 m disc around the user, which the line x = 25 (or y = 25)
+        # halves between bins 4 and 5. With 9 degrees of freedom a uniform
+        # draw exceeds 33.72 with probability 1e-4.
+        disc = math.pi * cfg.min_distance_m ** 2
+        strip = np.full(10, 5.0 * 50.0)
+        strip[4:6] -= disc / 2.0
+        expected = n * strip / (50.0 * 50.0 - disc)
+        for axis in range(2):
+            counts = np.histogram(pos[:, axis], bins=10, range=(0.0, 50.0))[0]
+            chi2 = float(np.sum((counts - expected) ** 2 / expected))
+            assert chi2 < 33.72, (axis, chi2)
 
 
 class TestNearestCandidates:
@@ -430,13 +485,13 @@ class TestNearestCandidates:
         assert nearest_candidates(dep, 0, 2) == [3, 7]
 
     def test_matches_exhaustive_sort(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(3, "t", 0).rng())
+        dep = drawn_deployment(cfg, RandomStream(3, "t", 0).rng())
         d = dep.bs_distances(0)
         want = sorted(range(cfg.n_bs), key=lambda b: (d[b], b))[:10]
         assert nearest_candidates(dep, 0, 10) == want
 
     def test_prefix_stable(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(4, "t", 0).rng())
+        dep = drawn_deployment(cfg, RandomStream(4, "t", 0).rng())
         full = nearest_candidates(dep, 0, 25)
         for k in (1, 5, 10):
             assert nearest_candidates(dep, 0, k) == full[:k]
@@ -462,7 +517,7 @@ def test_loaded_bs_must_transfer():
 
 class TestDeploymentArrays:
     def test_fields_are_read_only(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
+        dep = drawn_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
         for arr in (dep.bs_positions, dep.mt_positions, dep.bs_states, dep.bs_load,
                     dep.transferring_mask):
             assert not arr.flags.writeable
@@ -470,7 +525,7 @@ class TestDeploymentArrays:
                 arr[0] = arr[0]
 
     def test_states_are_int8_codes(self, cfg):
-        dep = generate_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
+        dep = drawn_deployment(cfg, RandomStream(cfg.seed, "t", 0).rng())
         assert dep.bs_states.dtype == np.int8
         assert dep.bs_load.dtype.kind == "i" and dep.bs_load.dtype.itemsize > 1
         decoded = {BsPowerState(code) for code in dep.bs_states.tolist()}
