@@ -15,12 +15,9 @@ import time
 from dataclasses import fields
 
 from .errors import ConfigError, InfeasibleConfig, IoFailure, PlacementFailure
-from .experiments import (DEFAULT_BS_GROUP_SIZES, DEFAULT_MT_GROUP_SIZES,
-                          run_bs_energy, run_coverage, run_mt_energy,
-                          run_validation)
+from .experiments import run_bs_energy, run_coverage, run_mt_energy, run_validation
 from .report import ExperimentReport, emit_csv, emit_json, summarize
-from .scenario import (_INT_FIELDS, BsPowerState, ScenarioConfig, load_config,
-                       parse_state_powers)
+from .scenario import ScenarioConfig, config_lines, load_config
 
 _FIELD_HELP = {
     "area_side_m": "side of the square deployment area in meters",
@@ -82,16 +79,10 @@ def _int_sweep(text):
 
 
 def _add_config_flags(sub):
-    defaults = ScenarioConfig()
-    for f in fields(ScenarioConfig):
-        if f.name == "state_power_mw":
-            default_text = ",".join(f"{defaults.state_power_mw[s]:g}" for s in BsPowerState)
-            sub.add_argument("--state_power_mw", type=str, default=None,
-                             help=f"{_FIELD_HELP[f.name]} (default: {default_text})")
-            continue
-        kind = int if f.name in _INT_FIELDS else float
-        sub.add_argument(f"--{f.name}", type=kind, default=None,
-                         help=f"{_FIELD_HELP[f.name]} (default: {getattr(defaults, f.name)})")
+    # plain text flags: load_config parses them as it parses file lines
+    for line in config_lines(ScenarioConfig()):
+        name, _, default = line.partition(" = ")
+        sub.add_argument(f"--{name}", help=f"{_FIELD_HELP[name]} (default: {default})")
 
 
 def _add_common(sub, report: bool = True):
@@ -151,15 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_overrides(args) -> dict:
-    overrides = {}
-    for f in fields(ScenarioConfig):
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if f.name == "state_power_mw":
-            value = parse_state_powers(value)
-        overrides[f.name] = value
-    return overrides
+    given = vars(args)
+    return {f.name: given[f.name] for f in fields(ScenarioConfig) if given[f.name] is not None}
 
 
 def _check_report_path(path: str) -> None:
@@ -209,16 +193,10 @@ def _dispatch(args, cfg) -> int:
             with open(event_log, "w") as fh:
                 fh.write(events.getvalue())
     elif args.command == "bs-energy":
-        payload = run_bs_energy(
-            cfg, sleeping_counts=args.sleeping_counts,
-            group_sizes=args.group_sizes or DEFAULT_BS_GROUP_SIZES,
-            n_users=args.n_users)
-    elif args.command == "mt-energy":
-        payload = run_mt_energy(
-            cfg, group_sizes=args.group_sizes or DEFAULT_MT_GROUP_SIZES,
-            workers=args.workers)
-    else:  # unreachable: argparse restricts the choices
-        raise ConfigError(f"unknown command {args.command}")
+        payload = run_bs_energy(cfg, sleeping_counts=args.sleeping_counts,
+                                group_sizes=args.group_sizes, n_users=args.n_users)
+    else:
+        payload = run_mt_energy(cfg, group_sizes=args.group_sizes, workers=args.workers)
     report = ExperimentReport(args.command, cfg, payload,
                               time.perf_counter() - started)
     _emit(report, args)

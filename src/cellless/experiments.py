@@ -288,13 +288,12 @@ def run_coverage(cfg: ScenarioConfig, thresholds_db=None, workers: int = 1,
     busy stations whose interference then counts as signal; both arms see
     the same deployment and fading. Coverage at a threshold is the fraction
     of trials whose SINR clears it, so each curve is non-increasing exactly.
-    ``event_log`` gets one line per trial's group, in trial order.
+    Thresholds are sorted and deduplicated. ``event_log`` gets one line per
+    trial's group, in trial order.
     """
     if thresholds_db is None:
         thresholds_db = DEFAULT_THRESHOLDS_DB
-    thresholds = [float(t) for t in thresholds_db]
-    if thresholds != sorted(thresholds):
-        raise ValueError("thresholds_db must be sorted ascending")
+    thresholds = sorted({float(t) for t in thresholds_db})
     _, members, sinr = _scan_trials(partial(coverage_block, cfg), cfg.n_trials, workers)
     n = cfg.n_trials
     if event_log is not None:
@@ -375,8 +374,8 @@ def bs_energy_ledger(cfg: ScenarioConfig, s: int, k: int, n_users: int) -> float
     return s * (p_listen - power[BsPowerState.SLEEPING]) / p_base
 
 
-def run_bs_energy(cfg: ScenarioConfig, sleeping_counts=None,
-                  group_sizes=DEFAULT_BS_GROUP_SIZES, n_users: int = 10) -> BsEnergyCurve:
+def run_bs_energy(cfg: ScenarioConfig, sleeping_counts=None, group_sizes=None,
+                  n_users: int = 10) -> BsEnergyCurve:
     """Fractional BS power saving over sleeping counts and group sizes.
 
     Every trial of :func:`bs_energy_trial` yields the same exact ledger, so
@@ -386,6 +385,8 @@ def run_bs_energy(cfg: ScenarioConfig, sleeping_counts=None,
     """
     if sleeping_counts is None:
         sleeping_counts = DEFAULT_SLEEPING_COUNTS
+    if group_sizes is None:
+        group_sizes = DEFAULT_BS_GROUP_SIZES
     sleeping_counts = tuple(sorted({int(s) for s in sleeping_counts}))
     group_sizes = tuple(sorted({int(k) for k in group_sizes}))
     if n_users < 1:
@@ -443,9 +444,10 @@ def mt_energy_block(cfg: ScenarioConfig, group_sizes, start: int, stop: int) -> 
     return 1.0 - prefix[:, :1] / prefix[:, np.asarray(group_sizes, dtype=int) - 1]
 
 
-def run_mt_energy(cfg: ScenarioConfig, group_sizes=DEFAULT_MT_GROUP_SIZES,
-                  workers: int = 1) -> MtEnergyCurve:
+def run_mt_energy(cfg: ScenarioConfig, group_sizes=None, workers: int = 1) -> MtEnergyCurve:
     """Mean fractional terminal power saving per joint-reception group size."""
+    if group_sizes is None:
+        group_sizes = DEFAULT_MT_GROUP_SIZES
     group_sizes = tuple(sorted({int(n) for n in group_sizes}))
     for n in group_sizes:
         if not 1 <= n <= cfg.n_candidates:
@@ -593,7 +595,7 @@ def power_check(cfg: ScenarioConfig, n_instances: int) -> tuple:
             # no power reaches a zero rate target, so the bisection has no root
             return ("power-solve", False, f"instance {i}: baseline rate rounds to 0")
         solved = oracle_power_solve(group, target, dep, ch, cfg)
-        worst = max(worst, abs(solved - closed) / closed)
+        worst = max(worst, float(abs(solved - closed) / closed))
     return ("power-solve", worst < 1e-9, f"max relative error {worst:.3e}")
 
 

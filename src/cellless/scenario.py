@@ -9,7 +9,7 @@ numbers bit for bit.
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from pathlib import Path
 from typing import NamedTuple
@@ -30,19 +30,6 @@ class BsPowerState(IntEnum):
 
 _FADING_MARGIN = 2.0 ** 64   # headroom for a fading draw, see ScenarioConfig
 
-_INT_FIELDS = ("n_bs", "n_busy_bs", "n_candidates", "max_group_size", "n_trials", "seed")
-_FLOAT_FIELDS = ("area_side_m", "bs_tx_power_mw", "mt_tx_power_mw", "path_loss_exponent",
-                 "reference_distance_m", "noise_power_mw", "min_distance_m")
-
-
-def _default_state_powers() -> dict:
-    return {
-        BsPowerState.SLEEPING: 10.0,
-        BsPowerState.LISTENING: 50.0,
-        BsPowerState.READY: 80.0,
-        BsPowerState.TRANSFERRING: 200.0,
-    }
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -53,7 +40,7 @@ class ScenarioConfig:
     n_busy_bs: int = 30        # BSs pre-committed to other users' groups (interferers)
     n_candidates: int = 10     # nearest BSs eligible for the typical user's group
     max_group_size: int = 3
-    state_power_mw: dict = field(default_factory=_default_state_powers)
+    state_power_mw: tuple = (10.0, 50.0, 80.0, 200.0)  # mW drawn per state, by state code
     bs_tx_power_mw: float = 200.0
     mt_tx_power_mw: float = 100.0
     path_loss_exponent: float = 4.0
@@ -72,9 +59,9 @@ class ScenarioConfig:
             raise ConfigError("n_candidates must lie in [1, n_bs]")
         if not 1 <= self.max_group_size <= self.n_candidates:
             raise ConfigError("max_group_size must lie in [1, n_candidates]")
-        for name in _FLOAT_FIELDS:
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and strictly positive")
+        for f in fields(self):
+            if f.type is float and not 0 < getattr(self, f.name) < math.inf:
+                raise ConfigError(f"{f.name} must be finite and strictly positive")
         # A gain is a path loss in (0, 1] times a unit-mean exponential fading
         # draw, which falls outside [2**-64, 2**64] with probability about
         # 2**-64. These rules keep that margin: the weakest path loss (the
@@ -94,9 +81,10 @@ class ScenarioConfig:
                 > sys.float_info.max):
             raise ConfigError("mt_tx_power_mw / noise_power_mw overflows the uplink "
                               "SNR: lower mt_tx_power_mw or raise noise_power_mw")
-        if set(self.state_power_mw) != set(BsPowerState):
-            raise ConfigError("state_power_mw needs exactly the four power states")
-        powers = [self.state_power_mw[s] for s in BsPowerState]
+        powers = self.state_power_mw
+        if not (isinstance(powers, tuple) and len(powers) == len(BsPowerState)):
+            raise ConfigError(f"state_power_mw needs a tuple of {len(BsPowerState)} values "
+                              "(sleeping,listening,ready,transferring)")
         if not all(math.isfinite(p) for p in powers):
             raise ConfigError("state powers must be finite")
         if powers[0] <= 0:
@@ -110,43 +98,34 @@ class ScenarioConfig:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 
 
-def parse_state_powers(text: str) -> dict:
-    """Parse 'sleeping,listening,ready,transferring' mW values, e.g. '10,50,80,200'."""
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != 4:
-        raise ConfigError("state_power_mw needs four comma-separated values "
-                          "(sleeping,listening,ready,transferring)")
-    try:
-        return dict(zip(BsPowerState, (float(p) for p in parts)))
-    except ValueError as exc:
-        raise ConfigError(f"state_power_mw: {exc}") from exc
+# a field's annotation is the kind of its config text; a tuple is comma-separated floats
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, text: str):
+    kind = _FIELD_TYPES[key]
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key == "state_power_mw":
-            return parse_state_powers(raw)
+        if kind is tuple:
+            return tuple(float(part) for part in text.split(","))
+        return kind(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for '{key}': {exc}") from exc
-    raise ConfigError(f"unknown config key '{key}'")
-
-
-_FIELD_NAMES = tuple(f.name for f in fields(ScenarioConfig))
 
 
 def load_config(path=None, overrides=None) -> ScenarioConfig:
-    """Build a config from defaults, then a 'key = value' file, then overrides.
+    """Build a config from defaults, then a 'key = value' UTF-8 file, then overrides.
 
-    Unknown keys are fatal in both the file and the overrides; silent typos
-    in simulation configs corrupt results.
+    File values and ``str`` overrides (CLI flags) share one parser; other
+    overrides are used as is. Unknown keys, and keys repeated in the file,
+    are fatal: silent typos in simulation configs corrupt results.
     """
     values = {}
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+        set_on = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -155,13 +134,15 @@ def load_config(path=None, overrides=None) -> ScenarioConfig:
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key = key.strip()
-            if key not in _FIELD_NAMES:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
+            if set_on.setdefault(key, lineno) != lineno:
+                raise ConfigError(f"{path}:{lineno}: '{key}' already set on line {set_on[key]}")
             values[key] = _parse_value(key, raw.strip())
     for key, value in (overrides or {}).items():
-        if key not in _FIELD_NAMES:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key '{key}'")
-        values[key] = value
+        values[key] = _parse_value(key, value) if isinstance(value, str) else value
     return ScenarioConfig(**values)
 
 
@@ -174,12 +155,7 @@ def config_lines(cfg: ScenarioConfig) -> list:
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.name == "state_power_mw":
-            text = ",".join(repr(value[s]) for s in BsPowerState)
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
+        text = ",".join(map(repr, value)) if isinstance(value, tuple) else str(value)
         lines.append(f"{f.name} = {text}")
     return lines
 

@@ -3,13 +3,16 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellless
 from cellless import (ExperimentReport, IoFailure, MtEnergyCurve, ScenarioConfig,
-                      cli, parse_csv, render_csv)
+                      cli, config_lines, load_config, parse_csv, render_csv)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,6 +56,79 @@ def test_parse_csv_round_trips_render_csv():
         "saving": [0.0, 0.25, float(format(1 / 3, ".9g"))],
         "saving_ci95": [0.0, 0.01, 0.125],
     }
+
+
+@st.composite
+def valid_configs(draw):
+    n_bs = draw(st.integers(1, 60))
+    n_candidates = draw(st.integers(1, n_bs))
+    powers = draw(st.lists(st.floats(1e-3, 1e4), min_size=4, max_size=4, unique=True))
+    return ScenarioConfig(
+        area_side_m=draw(st.floats(1.0, 1e3)), n_bs=n_bs,
+        n_busy_bs=draw(st.integers(0, n_bs)), n_candidates=n_candidates,
+        max_group_size=draw(st.integers(1, n_candidates)),
+        state_power_mw=tuple(sorted(powers)),
+        bs_tx_power_mw=draw(st.floats(1e-3, 1e6)),
+        mt_tx_power_mw=draw(st.floats(1e-3, 1e6)),
+        path_loss_exponent=draw(st.floats(1.0, 6.0)),
+        reference_distance_m=draw(st.floats(0.1, 10.0)),
+        noise_power_mw=draw(st.floats(1e-12, 1.0)),
+        min_distance_m=draw(st.floats(1e-3, 10.0)),
+        n_trials=draw(st.integers(1, 10 ** 6)),
+        seed=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(cfg=valid_configs())
+def test_file_text_overrides_and_flags_load_the_same_config(tmp_path_factory, cfg):
+    text = dict(line.split(" = ", 1) for line in config_lines(cfg))
+    path = tmp_path_factory.mktemp("cfg") / "scenario.cfg"
+    path.write_text("\n".join(config_lines(cfg)) + "\n")
+    flags = [arg for key, value in text.items() for arg in (f"--{key}", value)]
+    args = cli.build_parser().parse_args(["coverage"] + flags)
+    for loaded in (load_config(path), load_config(overrides=text),
+                   load_config(args.config, cli._collect_overrides(args))):
+        assert loaded == cfg and hash(loaded) == hash(cfg)
+
+
+def test_config_flags_come_from_the_fields(capsys):
+    assert set(cli._FIELD_HELP) == {f.name for f in fields(ScenarioConfig)}
+    with pytest.raises(SystemExit):
+        cli.main(["bs-energy", "--help"])
+    assert "10.0,50.0,80.0,200.0)" in capsys.readouterr().out
+
+
+def test_bad_flag_value_reads_as_the_bad_file_line(tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("n_bs = abc\n")
+    assert cli.main(["coverage", "--n_bs", "abc"]) == 2
+    from_flag = capsys.readouterr().err
+    assert cli.main(["coverage", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == from_flag
+    assert from_flag.startswith("config error: bad value for 'n_bs': ")
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"n_bs = 20\nseed = \xff\n", ": not UTF-8 text: "),
+    (b"n_bs = 40\nn_bs = 30\n", ":2: 'n_bs' already set on line 1"),
+])
+def test_bad_config_file_exits_2(tmp_path, capsys, content, message):
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(content)
+    assert cli.main(["coverage", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {config}{message}")
+
+
+def test_unsorted_thresholds_run_sorted(tmp_path, capsys):
+    reports = []
+    for thresholds in ("0,-5", "-5,0"):
+        out = tmp_path / "out.csv"
+        # '=' because argparse takes a bare '-5,0' for an option
+        assert cli.main(["coverage", "--n_trials", "30", f"--thresholds_db={thresholds}",
+                         "--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert parse_csv(io.StringIO(reports[0].decode()))[1]["threshold_db"] == [-5.0, 0.0]
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

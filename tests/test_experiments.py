@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 from concurrent.futures import Future
 from dataclasses import replace
@@ -76,9 +77,11 @@ class TestCoverage:
         for p, ci in zip(curve.cellular_prob, curve.cellular_ci95):
             assert ci == pytest.approx(1.96 * math.sqrt(p * (1 - p) / n), abs=1e-12)
 
-    def test_unsorted_thresholds_rejected(self, cfg):
-        with pytest.raises(ValueError):
-            run_coverage(cfg, thresholds_db=[0.0, -5.0])
+    def test_thresholds_are_sorted_and_deduplicated(self, cfg):
+        small = replace(cfg, n_trials=30)
+        want = run_coverage(small, thresholds_db=[-5.0, 0.0])
+        assert run_coverage(small, thresholds_db=[0.0, -5.0, 0.0, -5]) == want
+        assert want.thresholds_db == (-5.0, 0.0)
 
     def test_group_supersedes_single_association(self, cfg):
         # common draws: whenever the idle nearest BS joins the group, the
@@ -238,8 +241,7 @@ class TestBsEnergy:
         assert max(max(curve.ci95[k]) for k in curve.group_sizes) == 0.0
 
     @pytest.mark.parametrize("powers", [
-        None, {BsPowerState.SLEEPING: 7.3, BsPowerState.LISTENING: 41.9,
-               BsPowerState.READY: 88.1, BsPowerState.TRANSFERRING: 213.7}])
+        None, (7.3, 41.9, 88.1, 213.7)])
     def test_simulated_trials_match_ledger(self, cfg, powers):
         if powers is not None:
             cfg = replace(cfg, state_power_mw=powers)
@@ -448,6 +450,13 @@ def test_validation_reports_a_zero_rate_target(cfg):
     rows = run_validation(replace(cfg, path_loss_exponent=150.0, mt_tx_power_mw=1e-300,
                                   n_trials=20), n_instances=20)
     assert ("power-solve", False, "instance 0: baseline rate rounds to 0") in rows
+
+
+def test_validation_rows_are_plain_python(cfg):
+    rows = run_validation(replace(cfg, n_trials=20), n_instances=20)
+    assert all((type(name), type(passed), type(detail)) == (str, bool, str)
+               for name, passed, detail in rows)
+    assert json.loads(json.dumps(rows)) == [list(row) for row in rows]
 
 
 def test_validation_suites_pass(cfg):

@@ -113,39 +113,37 @@ class TestScenarioConfig:
         assert cfg.bs_tx_power_mw == 200.0 and cfg.mt_tx_power_mw == 100.0
         assert cfg.noise_power_mw == 1e-7 and cfg.n_trials == 10000
 
-    @pytest.mark.parametrize("bad", [
-        dict(n_busy_bs=51),
-        dict(n_candidates=51),
-        dict(max_group_size=11),
-        dict(max_group_size=0),
-        dict(area_side_m=0.0),
-        dict(noise_power_mw=0.0),
-        dict(path_loss_exponent=-1.0),
-        dict(n_trials=0),
-        dict(seed=-1),
-        dict(seed=2 ** 64),
-        dict(area_side_m=float("inf")),
-        dict(reference_distance_m=float("inf")),
-        dict(path_loss_exponent=float("inf")),
-        dict(min_distance_m=float("nan")),
-        dict(bs_tx_power_mw=float("nan")),
-        dict(noise_power_mw=float("inf")),
-        dict(path_loss_exponent=500.0),
-        dict(area_side_m=1e300),
-        dict(state_power_mw={BsPowerState.SLEEPING: 10.0, BsPowerState.LISTENING: 50.0,
-                             BsPowerState.READY: 80.0,
-                             BsPowerState.TRANSFERRING: float("inf")}),
-        dict(state_power_mw={BsPowerState.SLEEPING: float("nan"),
-                             BsPowerState.LISTENING: 50.0, BsPowerState.READY: 80.0,
-                             BsPowerState.TRANSFERRING: 200.0}),
+    @pytest.mark.parametrize("bad,message", [
+        (dict(n_busy_bs=51), "n_busy_bs must lie"),
+        (dict(n_candidates=51), "n_candidates must lie"),
+        (dict(max_group_size=11), "max_group_size must lie"),
+        (dict(max_group_size=0), "max_group_size must lie"),
+        (dict(area_side_m=0.0), "area_side_m must be finite and strictly positive"),
+        (dict(noise_power_mw=0.0), "noise_power_mw must be finite"),
+        (dict(path_loss_exponent=-1.0), "path_loss_exponent must be finite"),
+        (dict(n_trials=0), "n_trials must be at least 1"),
+        (dict(seed=-1), "seed must be a 64-bit"),
+        (dict(seed=2 ** 64), "seed must be a 64-bit"),
+        (dict(area_side_m=float("inf")), "area_side_m must be finite"),
+        (dict(reference_distance_m=float("inf")), "reference_distance_m must be finite"),
+        (dict(path_loss_exponent=float("inf")), "path_loss_exponent must be finite"),
+        (dict(min_distance_m=float("nan")), "min_distance_m must be finite"),
+        (dict(bs_tx_power_mw=float("nan")), "bs_tx_power_mw must be finite"),
+        (dict(noise_power_mw=float("inf")), "noise_power_mw must be finite"),
+        (dict(path_loss_exponent=500.0), "path loss underflows"),
+        (dict(area_side_m=1e300), "path loss underflows"),
+        (dict(state_power_mw=(10.0, 50.0, 80.0, float("inf"))), "state powers must be finite"),
+        (dict(state_power_mw=(float("nan"), 50.0, 80.0, 200.0)), "state powers must be finite"),
+        (dict(state_power_mw=(-1.0, 50.0, 80.0, 200.0)), "state powers must be strictly positive"),
+        (dict(state_power_mw=(10.0, 50.0, 80.0)), "needs a tuple of 4 values"),
         # within the float range, but outside the fading margin
-        dict(path_loss_exponent=166.0),
-        dict(bs_tx_power_mw=1e308),
-        dict(mt_tx_power_mw=1e308),
-        dict(noise_power_mw=5e-324),
+        (dict(path_loss_exponent=166.0), "path loss underflows"),
+        (dict(bs_tx_power_mw=1e308), "bs_tx_power_mw overflows"),
+        (dict(mt_tx_power_mw=1e308), "overflows the uplink SNR"),
+        (dict(noise_power_mw=5e-324), "overflows the uplink SNR"),
     ])
-    def test_invariant_violations_rejected(self, bad):
-        with pytest.raises(ConfigError):
+    def test_invariant_violations_rejected(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
             ScenarioConfig(**bad)
 
     def test_path_loss_rule_keeps_a_fading_margin_at_its_boundary(self):
@@ -200,16 +198,17 @@ class TestScenarioConfig:
         edge("noise_power_mw", power * margin / sys.float_info.max, -math.inf)
 
     def test_state_powers_keyed_by_code(self, cfg):
-        # a state is its code, so the codes 0-3 key the same table
-        coded = ScenarioConfig(state_power_mw={0: 10.0, 1: 50.0, 2: 80.0, 3: 200.0})
-        assert coded == cfg
-        assert config_lines(coded) == config_lines(cfg)
+        # a state is its code, so the codes 0-3 index the same tuple
+        assert cfg.state_power_mw == (10.0, 50.0, 80.0, 200.0)
+        assert [cfg.state_power_mw[s] for s in BsPowerState] == list(cfg.state_power_mw)
+        assert hash(cfg) == hash(ScenarioConfig())
+        # the old state-keyed dict is refused, not indexed by accident
+        with pytest.raises(ConfigError, match="needs a tuple of 4 values"):
+            ScenarioConfig(state_power_mw=dict(zip(BsPowerState, cfg.state_power_mw)))
 
     def test_state_powers_must_increase(self):
-        powers = {BsPowerState.SLEEPING: 50.0, BsPowerState.LISTENING: 50.0,
-                  BsPowerState.READY: 80.0, BsPowerState.TRANSFERRING: 200.0}
-        with pytest.raises(ConfigError):
-            ScenarioConfig(state_power_mw=powers)
+        with pytest.raises(ConfigError, match="state powers must increase"):
+            ScenarioConfig(state_power_mw=(50.0, 50.0, 80.0, 200.0))
 
 
 class TestConfigFile:
@@ -246,6 +245,30 @@ class TestConfigFile:
         path.write_text("n_bs = many\n")
         with pytest.raises(ConfigError, match="n_bs"):
             load_config(path)
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_bytes(b"n_bs = 20\nseed = \xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_config(path)
+
+    def test_key_repeated_in_file_names_both_lines(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("n_bs = 20\n# the same key again\nn_bs = 30\n")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}:3: 'n_bs' already set on line 1")):
+            load_config(path)
+
+    def test_text_overrides_parse_as_file_values(self):
+        cfg = load_config(overrides={"n_bs": "40", "noise_power_mw": "2e-8",
+                                     "state_power_mw": "5, 6,7 ,8"})
+        assert (cfg.n_bs, cfg.noise_power_mw) == (40, 2e-8)
+        assert cfg.state_power_mw == (5.0, 6.0, 7.0, 8.0)
+        with pytest.raises(ConfigError, match="bad value for 'state_power_mw'"):
+            load_config(overrides={"state_power_mw": "5,6,seven,8"})
+        for text in ("5,6,7", "5,6,7,8,9"):
+            with pytest.raises(ConfigError, match="needs a tuple of 4 values"):
+                load_config(overrides={"state_power_mw": text})
 
     def test_config_lines_round_trip(self, tmp_path):
         cfg = ScenarioConfig(n_bs=17, n_busy_bs=3, n_candidates=9,
