@@ -94,8 +94,10 @@ def _add_common(sub, report: bool = True):
         sub.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="report format (default: csv)")
     sub.add_argument("--workers", type=int, default=1,
-                     help="parallel trial processes for coverage and mt-energy, "
-                          "at most one per CPU; never changes any emitted number")
+                     help="trial processes for coverage and mt-energy, at most one "
+                          "per CPU in all: this process runs the first chunk of "
+                          "trials and forks one child per other chunk; never "
+                          "changes any emitted number")
     _add_config_flags(sub)
 
 
@@ -139,6 +141,27 @@ def build_parser() -> argparse.ArgumentParser:
                               "nonzero on any failure")
     _add_common(val, report=False)
     return parser
+
+
+def _attach_dash_values(argv) -> list:
+    """Join '--flag -5,0' into '--flag=-5,0', so the value reaches its flag.
+
+    argparse reads a token that starts with '-' as a flag unless it is a
+    plain negative number, so '--thresholds_db -15:5:1' would fail with
+    'expected one argument'. Every option but --help is long and takes one
+    value, so a token with a single leading '-' (other than -h) that follows
+    one is that option's value.
+    """
+    joined = []
+    for arg in argv:
+        prev = joined[-1] if joined else ""
+        if (arg.startswith("-") and not arg.startswith("--") and arg != "-h"
+                and prev.startswith("--") and len(prev) > 2 and "=" not in prev
+                and prev != "--help"):
+            joined[-1] = f"{prev}={arg}"
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _collect_overrides(args) -> dict:
@@ -204,7 +227,7 @@ def _dispatch(args, cfg) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")

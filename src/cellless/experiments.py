@@ -12,7 +12,9 @@ Three experiments are provided:
 
 Every trial derives its randomness from a (seed, experiment, trial)
 substream and aggregation walks trials in index order, so outputs are
-bit-identical for any worker count.
+bit-identical for any worker count. With several workers the calling
+process runs the first chunk of trials and forks one child per other
+chunk, at most one process per CPU in all (see :func:`_scan_trials`).
 
 ``run_coverage`` and ``run_mt_energy`` run their trials in blocks of
 ``BLOCK_TRIALS``: each trial draws its placement and fading from its own
@@ -28,7 +30,8 @@ with :meth:`Deployment.from_placement`.
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -152,19 +155,70 @@ def _scan_trials(block, n_trials: int, workers: int, start: int = 0):
     one per CPU, and each chunk into blocks of ``BLOCK_TRIALS``. A block
     returns an array, or a tuple of arrays, with one row per trial; results
     join in trial order, so any worker count yields bit-identical output.
-    Each pool process takes one chunk: the pool starts all of its processes
-    at the first submit, so an unbounded count would ask the OS for that many.
+    The calling process runs the first chunk and forks one child per other
+    chunk, so the scan runs at most one process per CPU in all. Each child
+    pickles its rows, or the exception it raised, to a pipe and leaves by
+    ``os._exit``; a child's exception is raised again here with its type and
+    message, and a child that ends without a result raises ``RuntimeError``.
+    On an error the children still running are killed; every child is
+    reaped before the call returns. Without ``os.fork`` every chunk runs in
+    the calling process.
     """
     stop = start + n_trials
+
+    def run(a, b):
+        return [block(x, min(x + BLOCK_TRIALS, b)) for x in range(a, b, BLOCK_TRIALS)]
+
     n_chunks = min(workers, n_trials, os.cpu_count() or 1)
-    if n_chunks <= 1:
-        parts = [block(a, min(a + BLOCK_TRIALS, stop)) for a in range(start, stop, BLOCK_TRIALS)]
+    if n_chunks <= 1 or not hasattr(os, "fork"):
+        parts = run(start, stop)
     else:
-        bounds = np.linspace(start, stop, n_chunks + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            futures = [pool.submit(_scan_trials, block, int(b - a), 1, int(a))
-                       for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-            parts = [f.result() for f in futures]
+        # n_chunks <= n_trials, so no chunk is empty
+        bounds = np.linspace(start, stop, n_chunks + 1).astype(int).tolist()
+        children = []       # (pid, read end, trials) of each child not yet reaped
+        try:
+            for a, b in zip(bounds[1:-1], bounds[2:]):
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:
+                    try:
+                        os.close(read_fd)
+                        try:
+                            reply = pickle.dumps((True, run(a, b)))
+                        except BaseException as exc:
+                            reply = pickle.dumps((False, exc))
+                        with os.fdopen(write_fd, "wb") as pipe:
+                            pipe.write(reply)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(write_fd)
+                children.append((pid, os.fdopen(read_fd, "rb"), f"[{a}, {b})"))
+            parts = run(bounds[0], bounds[1])
+            while children:
+                pid, pipe, trials = children[0]
+                with pipe:
+                    reply = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[0]
+                if not reply:
+                    raise RuntimeError(
+                        f"trial process {pid} (trials {trials}) ended without a result, "
+                        f"exit status {os.waitstatus_to_exitcode(status)}")
+                ok, rows = pickle.loads(reply)
+                if not ok:
+                    raise rows
+                parts += rows
+        finally:
+            for pid, pipe, _ in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(column) for column in zip(*parts))
     return np.concatenate(parts)

@@ -367,7 +367,10 @@ def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
     area = cfg.area_side_m
     center = np.array([[area / 2.0, area / 2.0]])
     if n_mt > 1:
-        extra = rng.uniform(0.0, area, size=(n_mt - 1, 2))
+        # uniform(0, area) computes 0.0 + area * u: random() scaled in place
+        # gives the same doubles at half the cost
+        extra = rng.random((n_mt - 1, 2))
+        extra *= area
         mt_positions = np.vstack([center, extra])
     else:
         mt_positions = center
@@ -383,7 +386,8 @@ def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
             raise PlacementFailure(
                 f"gave up placing {cfg.n_bs} BSs with {cfg.min_distance_m} m "
                 f"spacing after {limit} attempts")
-        batch = rng.uniform(0.0, area, size=(need, 2))
+        batch = rng.random((need, 2))
+        batch *= area
         attempts += need
         pts = np.concatenate([taken, batch])
         # every squared distance is rounded as the scalar (px - x) ** 2 +

@@ -123,8 +123,7 @@ def test_unsorted_thresholds_run_sorted(tmp_path, capsys):
     reports = []
     for thresholds in ("0,-5", "-5,0"):
         out = tmp_path / "out.csv"
-        # '=' because argparse takes a bare '-5,0' for an option
-        assert cli.main(["coverage", "--n_trials", "30", f"--thresholds_db={thresholds}",
+        assert cli.main(["coverage", "--n_trials", "30", "--thresholds_db", thresholds,
                          "--output", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
@@ -215,17 +214,48 @@ def test_report_write_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: could not write report: disk full\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["coverage", "--thresholds_db", "0:inf"],
-    ["coverage", "--thresholds_db", "-5,nan"],
-    ["coverage", "--thresholds_db", "0:1:1e-12"],
-    ["bs-energy", "--sleeping_counts", "inf"],
+@pytest.mark.parametrize("argv,message", [
+    (["coverage", "--thresholds_db", "0:inf"], "sweep values must be finite"),
+    (["coverage", "--thresholds_db", "-5,nan"], "sweep values must be finite"),
+    (["coverage", "--thresholds_db", "0:1:1e-12"], "a sweep takes at most 10000 points"),
+    (["bs-energy", "--sleeping_counts", "inf"], "sweep values must be finite"),
 ])
-def test_unbounded_sweep_exits_2(capsys, argv):
+def test_unbounded_sweep_exits_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {argv[1]}: {message}\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["coverage", "--thresholds_db", "-15:5:1"], 0),
+    (["coverage", "--thresholds_db", "-5,0"], 0),
+    (["bs-energy", "--sleeping_counts", "-1:3"], 2),
+    (["bs-energy", "--state_power_mw", "-1,50,80,200"], 2),
+])
+def test_flag_value_may_begin_with_a_dash(tmp_path, capsys, argv, code):
+    runs = []
+    for form in (argv, argv[:1] + [f"{argv[1]}={argv[2]}"]):
+        out = tmp_path / "out.csv"
+        assert cli.main(form + ["--n_trials", "20", "--output", str(out)]) == code
+        err = capsys.readouterr().err
+        runs.append(out.read_bytes() if code == 0 else err)
+        out.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    if code:
+        assert runs[0].startswith("config error: ")
+    else:
+        thresholds = parse_csv(io.StringIO(runs[0].decode()))[1]["threshold_db"]
+        assert thresholds == cli._float_sweep(argv[2])
+
+
+def test_only_a_value_taking_flag_takes_a_dash_value():
+    assert cli._attach_dash_values(["coverage", "--seed", "-1", "--output", "-", "--help"]) == [
+        "coverage", "--seed=-1", "--output=-", "--help"]
+    assert cli._attach_dash_values(["--help", "-h", "--output", "-h", "--workers=2", "-3"]) == [
+        "--help", "-h", "--output", "-h", "--workers=2", "-3"]
 
 
 def test_sweep_point_limit():
@@ -246,6 +276,19 @@ def test_event_log_is_the_same_at_two_workers(tmp_path):
         logs.append(log.read_bytes())
     assert logs[0].count(b"\n") == 40
     assert logs[1] == logs[0]
+
+
+def test_placement_failure_reads_the_same_at_two_workers(monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    errors = []
+    for workers in ("1", "2"):
+        assert cli.main(["coverage", "--n_trials", "10", "--min_distance_m", "40",
+                         "--workers", workers]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("config error: gave up placing 50 BSs")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("flags", [["--output", "v.out"], ["--format", "json"]])
@@ -287,3 +330,12 @@ def _tasks_after_import(env_update):
 def test_import_starts_no_blas_thread():
     assert _tasks_after_import({}) == (1, "1")
     assert _tasks_after_import({"OPENBLAS_NUM_THREADS": "2"})[1] == "2"
+
+
+def test_import_loads_no_process_pool():
+    env = dict(os.environ, PYTHONPATH=str(Path(cellless.__file__).parents[1]))
+    code = ("import sys, cellless.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -2,15 +2,19 @@ import io
 import itertools
 import json
 import math
-from concurrent.futures import Future
+import os
+import time
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellless import (BsEnergyCurve, BsPowerState, ChannelSample, CoverageCurve, Deployment,
-                      InfeasibleConfig, MtEnergyCurve, ScenarioConfig, bs_energy_ledger,
+                      InfeasibleConfig, MtEnergyCurve, PlacementFailure, ScenarioConfig,
+                      bs_energy_ledger,
                       controller, experiments, form_group, group_rate, mt_energy_trial,
                       nearest_candidates, oracle_min_group, oracle_power_solve,
                       run_bs_energy, run_coverage, run_mt_energy, run_validation,
@@ -392,38 +396,120 @@ class TestDeterminism:
         assert run_mt_energy(small, workers=1) == run_mt_energy(small, workers=2)
 
     def test_pool_is_bounded_by_chunks_and_cpus(self, cfg, monkeypatch):
-        pools = []
-
-        class InlinePool:
-            """Records the requested size and runs every submit at once."""
-
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                self.submits = 0
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                self.submits += 1
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
         small = replace(cfg, n_trials=6)
         serial = run_mt_energy(small)
-        assert run_mt_energy(small, workers=10_000) == serial
-        assert run_mt_energy(small, workers=3) == serial
-        assert [(p.max_workers, p.submits) for p in pools] == [(4, 4), (3, 3)]
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-        assert run_mt_energy(small, workers=8) == serial
-        assert len(pools) == 2      # one CPU, or an unknown count, runs in-process
+        forks = _count_forks(monkeypatch, cpus=4)
+        # the calling process runs the first chunk: one child fewer than chunks
+        for n_trials, workers, children in ((6, 10_000, 3), (6, 3, 2), (2, 8, 1), (6, 1, 0)):
+            del forks[:]
+            part = replace(small, n_trials=n_trials)
+            assert run_mt_energy(part, workers=workers) == run_mt_energy(part)
+            assert len(forks) == children
+        for cpus in (1, None):      # one CPU, or an unknown count, runs in-process
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert run_mt_energy(small, workers=8) == serial
+        assert len(forks) == 0
+        _assert_no_children()
+
+    def test_scan_without_fork_runs_in_process(self, cfg, monkeypatch):
+        small = replace(cfg, n_trials=6)
+        serial = run_mt_energy(small)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        assert run_mt_energy(small, workers=4) == serial
+
+
+def _count_forks(monkeypatch, cpus):
+    """Pids of the children forked from now on, with ``os.cpu_count()`` set to ``cpus``."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return forks
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SCAN_CFG = ScenarioConfig(n_bs=12, n_busy_bs=5, n_candidates=6, max_group_size=3, seed=7)
+SCAN_BLOCKS = (partial(coverage_block, SCAN_CFG),
+               partial(mt_energy_block, SCAN_CFG, _mt_sizes(SCAN_CFG)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_trials=st.integers(1, 40), workers=st.integers(1, 4),
+       start=st.integers(0, 10 ** 6), block_trials=st.integers(1, 9))
+def test_scan_is_invariant_to_workers_and_block_bounds(n_trials, workers, start, block_trials):
+    serial = [experiments._scan_trials(block, n_trials, 1, start) for block in SCAN_BLOCKS]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 4)
+        mp.setattr(experiments, "BLOCK_TRIALS", block_trials)
+        scanned = [experiments._scan_trials(block, n_trials, workers, start)
+                   for block in SCAN_BLOCKS]
+    coverage, mt = serial
+    assert len(scanned[0]) == len(coverage)
+    for got, want in zip(scanned[0], coverage):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert scanned[1].shape == mt.shape and scanned[1].tobytes() == mt.tobytes()
+
+
+class TestScanFailures:
+    """Trials [0, 10) at two workers: this process runs [0, 5), one child [5, 10)."""
+
+    def test_child_exception_is_raised_again(self, monkeypatch):
+        forks = _count_forks(monkeypatch, cpus=2)
+
+        def block(a, b):
+            if a <= 7 < b:
+                raise PlacementFailure("trial 7 could not be placed")
+            return np.arange(a, b)
+
+        with pytest.raises(PlacementFailure) as exc:
+            experiments._scan_trials(block, 10, 2)
+        assert type(exc.value) is PlacementFailure
+        assert str(exc.value) == "trial 7 could not be placed"
+        assert len(forks) == 1
+        _assert_no_children()
+
+    def test_child_that_ends_without_a_result_is_named(self, monkeypatch):
+        forks = _count_forks(monkeypatch, cpus=2)
+        parent = os.getpid()
+
+        def block(a, b):
+            if os.getpid() != parent:
+                os._exit(3)
+            return np.arange(a, b)
+
+        with pytest.raises(RuntimeError) as exc:
+            experiments._scan_trials(block, 10, 2)
+        assert str(exc.value) == (f"trial process {forks[0]} (trials [5, 10)) ended "
+                                  "without a result, exit status 3")
+        _assert_no_children()
+
+    def test_error_here_kills_the_running_children(self, monkeypatch):
+        forks = _count_forks(monkeypatch, cpus=2)
+        parent = os.getpid()
+
+        def block(a, b):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise ValueError("first chunk failed")
+
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="^first chunk failed$"):
+            experiments._scan_trials(block, 10, 2)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        _assert_no_children()
 
 
 class TestCurveTypes:
