@@ -11,16 +11,16 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .channel import (ChannelSample, downlink_sinr, path_loss, sample_channel,
                       spectral_efficiency, uplink_joint_snr)
-from .controller import (CoopGroup, form_group, group_rate, nearest_awake,
-                         start_service, transition_many)
 from .errors import (BusyBs, CelllessError, ConfigError, DomainError, EmptyGroup,
                      IllegalTransition, InfeasibleConfig, IoFailure,
                      NoBsAvailable, PlacementFailure)
+# The controller, the scalar references, the oracles and the validation suites
+# are not re-exported: the curve commands never run them, and importing them
+# here would compile them on every start. Import them from cellless.controller
+# and cellless.validation.
 from .experiments import (BsEnergyCurve, CoverageCurve, MtEnergyCurve,
-                          bs_energy_ledger, bs_energy_trial, coverage_instance,
-                          coverage_trial, mt_energy_trial, oracle_min_group,
-                          oracle_power_solve, run_bs_energy, run_coverage,
-                          run_mt_energy, run_validation)
+                          bs_energy_ledger, run_bs_energy, run_coverage,
+                          run_mt_energy)
 from .report import (ExperimentReport, config_hash, emit_csv, emit_json,
                      parse_csv, render_csv, summarize, to_dict)
 from .scenario import (BsPowerState, Deployment, Placement, RandomStream, ScenarioConfig,

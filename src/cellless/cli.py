@@ -15,7 +15,7 @@ import time
 from dataclasses import fields
 
 from .errors import ConfigError, InfeasibleConfig, IoFailure, PlacementFailure
-from .experiments import run_bs_energy, run_coverage, run_mt_energy, run_validation
+from .experiments import run_bs_energy, run_coverage, run_mt_energy
 from .report import ExperimentReport, emit_csv, emit_json, summarize
 from .scenario import ScenarioConfig, config_lines, load_config
 
@@ -74,8 +74,16 @@ def _float_sweep(text):
     return _sweep(text, float)
 
 
+def _whole(value: float) -> int:
+    # round() would send 0.5 and 2.5 to 0 and 2, and the sweep would silently
+    # lose or merge points
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"expected whole numbers, got {value!r}")
+    return int(value)
+
+
 def _int_sweep(text):
-    return _sweep(text, lambda v: int(round(v)))
+    return _sweep(text, _whole)
 
 
 def _add_config_flags(sub):
@@ -196,6 +204,11 @@ def _emit(report, args) -> None:
 
 def _dispatch(args, cfg) -> int:
     if args.command == "validate":
+        # imported here, not at the top: on a host that does not write
+        # bytecode every import compiles its source, and the curve commands
+        # would compile the controller and the oracles without running them
+        from .validation import run_validation
+
         rows = run_validation(cfg)
         for name, passed, detail in rows:
             print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")

@@ -1,4 +1,4 @@
-"""Monte Carlo experiment kernels and their brute-force verification oracles.
+"""Monte Carlo experiment curves and the block kernels that compute them.
 
 Three experiments are provided:
 
@@ -6,7 +6,7 @@ Three experiments are provided:
   single-nearest-BS cellular baseline, on common random numbers;
 * fractional BS power saving as stations are put to sleep, for several
   cooperative group sizes; no draw changes this power ledger, so it is
-  computed in closed form and the simulated trial only cross-checks it;
+  computed in closed form (:func:`bs_energy_ledger`);
 * fractional terminal power saving when uplink joint reception lets the
   terminal back its transmit power off while holding the baseline rate.
 
@@ -20,30 +20,25 @@ chunk, at most one process per CPU in all (see :func:`_scan_trials`).
 ``BLOCK_TRIALS``: each trial draws its placement and fading from its own
 substreams, and everything after the draws is computed once per block on
 stacked ``(trials, n_bs)`` arrays. The block path reads each placement's
-arrays and builds no :class:`Deployment`. The per-trial functions
-(:func:`coverage_trial`, :func:`mt_energy_trial`) are the readable scalar
-references the block kernels are checked against; they, the BS energy
-trial and the validation suites build the controller state of each draw
-with :meth:`Deployment.from_placement`.
+arrays and builds no :class:`Deployment`, and it needs no controller: the
+greedy group with an infinite demand is the strongest candidates up to the
+size cap, a sort. The readable scalar references these kernels are checked
+against, the exhaustive oracles and the ``validate`` suites live in
+:mod:`cellless.validation`, which this module does not import.
 """
 
-import itertools
 import math
 import os
 import pickle
 import signal
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .channel import (check_gains, downlink_sinr, path_loss, sample_channel,
-                      spectral_efficiency, uplink_joint_snr)
-from .controller import (IDLE_STATES, CoopGroup, form_group, group_rate, nearest_awake,
-                         start_service, transition_many)
-from .errors import BusyBs, IllegalTransition, InfeasibleConfig
-from .scenario import (BsPowerState, Deployment, RandomStream, ScenarioConfig,
-                       generate_deployment, nearest_candidates, total_power_mw)
+from .channel import check_gains, path_loss
+from .errors import InfeasibleConfig
+from .scenario import BsPowerState, RandomStream, ScenarioConfig, generate_deployment
 
 DEFAULT_THRESHOLDS_DB = tuple(float(t) for t in range(-15, 6))
 DEFAULT_SLEEPING_COUNTS = tuple(range(0, 11))
@@ -224,16 +219,10 @@ def _scan_trials(block, n_trials: int, workers: int, start: int = 0):
     return np.concatenate(parts)
 
 
-def draw_instance(cfg: ScenarioConfig, base: RandomStream):
-    """Deployment from ``base``'s "deploy" child, channel from its "fading" child."""
-    dep = Deployment.from_placement(generate_deployment(cfg, base.child("deploy").rng()))
-    return dep, sample_channel(dep, cfg, base.child("fading"))
-
-
 def draw_block(cfg: ScenarioConfig, label: str, start: int, stop: int):
     """Typical-user distances, gains and busy masks of trials [start, stop).
 
-    Each trial makes the draws :func:`draw_instance` makes, from the same
+    Each trial makes the draws :func:`validation.draw_instance` makes, from the same
     "deploy" and "fading" substreams of ``label`` in the same order, so each
     row is bit-identical to that trial's deployment and channel: ``busy``
     is the transferring mask of its :class:`Deployment`. Only the
@@ -267,38 +256,9 @@ def _ranked_by_gain(bs: np.ndarray, gains: np.ndarray) -> np.ndarray:
     return np.take_along_axis(bs, np.lexsort((bs, -g), axis=-1), axis=1)
 
 
-def joint_reception_order(dep: Deployment, ch, cfg: ScenarioConfig) -> list:
-    """The typical user's candidates: the nearest, then the rest strongest gain first.
-
-    The nearest BS is the lone receiver of the non-joint baseline, so it
-    anchors every joint-reception group; each group is a prefix of this list.
-    """
-    candidates = nearest_candidates(dep, 0, cfg.n_candidates)
-    gains = ch.gains[:, 0]
-    return candidates[:1] + sorted(candidates[1:], key=lambda b: (-gains[b], b))
-
-
 # ---------------------------------------------------------------------------
 # coverage
 # ---------------------------------------------------------------------------
-
-def coverage_instance(cfg: ScenarioConfig, trial: int):
-    """Deployment and channel draw shared by both arms of one coverage trial."""
-    return draw_instance(cfg, RandomStream(cfg.seed, "coverage", trial))
-
-
-def coverage_trial(cfg: ScenarioConfig, trial: int) -> tuple:
-    """(cellular, cell-less) downlink SINR for one trial on common draws.
-
-    The readable scalar reference of :func:`coverage_block`.
-    """
-    dep, ch = coverage_instance(cfg, trial)
-    nearest = nearest_candidates(dep, 0, 1)[0]
-    # share_busy: the group converts nearby busy interferers into signal
-    group = form_group(0, math.inf, dep, ch, cfg, share_busy=True)
-    return (downlink_sinr(0, [nearest], dep, ch, cfg),
-            downlink_sinr(0, group.member_bs, dep, ch, cfg))
-
 
 def coverage_block(cfg: ScenarioConfig, start: int, stop: int):
     """Both arms of coverage trials [start, stop) on stacked arrays.
@@ -308,7 +268,7 @@ def coverage_block(cfg: ScenarioConfig, start: int, stop: int):
     ``form_group(0, math.inf, ..., share_busy=True)`` picks it), and the
     (cellular, cell-less) SINR per trial. The masked row sums add in another
     order than :func:`downlink_sinr`, so an SINR may differ from
-    :func:`coverage_trial`'s in the last bits. Each is a copy, not a view
+    :func:`validation.coverage_trial`'s in the last bits. Each is a copy, not a view
     of the block's sort: the scan holds every block's result at once.
     """
     dist, gains, busy = draw_block(cfg, "coverage", start, stop)
@@ -374,41 +334,6 @@ def run_coverage(cfg: ScenarioConfig, thresholds_db=None, workers: int = 1,
 # BS energy saving
 # ---------------------------------------------------------------------------
 
-def bs_energy_trial(cfg: ScenarioConfig, sleeping_counts, group_sizes,
-                    n_users: int, trial: int) -> np.ndarray:
-    """Fractional BS power saving for one trial, per (group size, sleeping count).
-
-    All terminals get a fixed-size group formed over every idle BS (the
-    candidate ring is widened to the whole deployment so each group reaches
-    exactly its size); members transfer, a random draw of the off-duty BSs
-    sleeps, the rest listen. The baseline keeps the would-be sleepers
-    listening, so the saving depends only on the power ledger: this trial is
-    the simulated reference that :func:`bs_energy_ledger` is checked against.
-    """
-    base = RandomStream(cfg.seed, "bs-energy", trial)
-    place_cfg = replace(cfg, n_busy_bs=0)
-    dep0 = Deployment.from_placement(
-        generate_deployment(place_cfg, base.child("deploy").rng(), n_mt=n_users))
-    ch = sample_channel(dep0, cfg, base.child("fading"))
-    # one permutation per trial: the first s entries sleep, nesting the sweeps
-    perm = base.child("sleep").rng().permutation(cfg.n_bs)
-
-    out = np.empty((len(group_sizes), len(sleeping_counts)))
-    for ki, k in enumerate(group_sizes):
-        form_cfg = replace(cfg, n_busy_bs=0, n_candidates=cfg.n_bs, max_group_size=k)
-        dep = dep0
-        for mt in range(n_users):
-            dep = start_service(dep, form_group(mt, math.inf, dep, ch, form_cfg))
-        off_duty = perm[dep.bs_states[perm] != BsPowerState.TRANSFERRING.value].tolist()
-        # baseline keeps every off-duty BS listening; sleepers step down from there
-        baseline = transition_many(dep, off_duty, BsPowerState.LISTENING)
-        p_base = total_power_mw(baseline, cfg)
-        for si, s in enumerate(sleeping_counts):
-            dep_s = transition_many(baseline, off_duty[:s], BsPowerState.SLEEPING)
-            out[ki, si] = 1.0 - total_power_mw(dep_s, cfg) / p_base
-    return out
-
-
 def bs_energy_ledger(cfg: ScenarioConfig, s: int, k: int, n_users: int) -> float:
     """Fractional BS power saving with ``s`` sleepers, in closed form.
 
@@ -432,7 +357,7 @@ def run_bs_energy(cfg: ScenarioConfig, sleeping_counts=None, group_sizes=None,
                   n_users: int = 10) -> BsEnergyCurve:
     """Fractional BS power saving over sleeping counts and group sizes.
 
-    Every trial of :func:`bs_energy_trial` yields the same exact ledger, so
+    Every trial of :func:`validation.bs_energy_trial` yields the same exact ledger, so
     the curve is :func:`bs_energy_ledger` itself and every CI half-width is
     zero; ``n_trials`` is only echoed. The ``validate`` suite checks
     simulated trials against it.
@@ -467,24 +392,8 @@ def run_bs_energy(cfg: ScenarioConfig, sleeping_counts=None, group_sizes=None,
 # terminal energy saving
 # ---------------------------------------------------------------------------
 
-def mt_energy_trial(cfg: ScenarioConfig, group_sizes, trial: int) -> np.ndarray:
-    """Fractional terminal power saving per group size for one trial.
-
-    The nearest BS anchors every group (it is the lone receiver of the
-    non-joint baseline); further members join strongest gain first. The
-    power that holds the baseline rate is the exact algebraic solution
-    P = P0 * g_nearest / sum(g over group), so the size-1 saving is zero by
-    construction and savings grow monotonically with the group.
-    """
-    dep, ch = draw_instance(cfg, RandomStream(cfg.seed, "mt-energy", trial))
-    order = joint_reception_order(dep, ch, cfg)
-    # sequential prefix sums keep the per-trial savings monotone exactly
-    prefix = np.cumsum(ch.gains[order, 0])
-    return 1.0 - prefix[0] / prefix[np.asarray(group_sizes, dtype=int) - 1]
-
-
 def mt_energy_block(cfg: ScenarioConfig, group_sizes, start: int, stop: int) -> np.ndarray:
-    """Rows of :func:`mt_energy_trial` for trials [start, stop), bit for bit.
+    """Rows of :func:`validation.mt_energy_trial` for trials [start, stop), bit for bit.
 
     The joint order is the nearest candidate, then the others strongest gain
     first; ``np.cumsum`` adds along each row in sequence, as the scalar
@@ -511,199 +420,3 @@ def run_mt_energy(cfg: ScenarioConfig, group_sizes=None, workers: int = 1) -> Mt
     saving = tuple(float(np.mean(samples[:, i])) for i in range(len(group_sizes)))
     ci = tuple(mean_ci95(samples[:, i]) for i in range(len(group_sizes)))
     return MtEnergyCurve(group_sizes, saving, ci, cfg.n_trials)
-
-
-# ---------------------------------------------------------------------------
-# verification oracles
-# ---------------------------------------------------------------------------
-
-def oracle_min_group(candidates, demand: float, dep, ch, cfg) -> CoopGroup:
-    """Exhaustive reference for the typical user's group over a small candidate set.
-
-    Rates every idle subset up to the size cap, each once. The smallest
-    subset meeting the demand wins, ties broken by higher rate, then by the
-    larger exact sum of member gains, then by lexicographic members; when
-    nothing qualifies, the best full-size subset is returned best-effort;
-    with no idle candidate at all, the nearest awake BS serves.
-
-    Idle members interfere with nobody, so among subsets of one size the
-    true rate grows with the member-gain sum; two subsets whose float rates
-    round equal are therefore told apart by that sum, added exactly.
-    """
-    # imported here, not at the top: only the oracle needs exact sums, and
-    # the module would add about 0.3 MB and 3 ms to every command's start-up
-    from fractions import Fraction
-
-    if len(candidates) > 12:
-        raise ValueError("exhaustive search is limited to 12 candidates")
-    idle = sorted(b for b in candidates if BsPowerState(dep.bs_states[b]) in IDLE_STATES)
-    if not idle:
-        fallback = nearest_awake(dep, 0)
-        return CoopGroup((fallback,), 0, demand, group_rate([fallback], 0, dep, ch, cfg), True)
-
-    gains = ch.gains[:, 0]
-
-    def exact_gain(members):
-        return sum(Fraction(float(gains[b])) for b in members)
-
-    def best_of(rated):
-        top_rate, top_members = -1.0, None
-        for rate, members in rated:
-            if rate > top_rate or (
-                    rate == top_rate and exact_gain(members) > exact_gain(top_members)):
-                top_rate, top_members = rate, members
-        return top_rate, top_members
-
-    for size in range(1, min(cfg.max_group_size, len(idle)) + 1):
-        rated = [(group_rate(m, 0, dep, ch, cfg), m) for m in itertools.combinations(idle, size)]
-        feasible = [(rate, m) for rate, m in rated if rate >= demand]
-        if feasible:
-            rate, members = best_of(feasible)
-            return CoopGroup(members, 0, demand, rate, False)
-    rate, members = best_of(rated)     # the size-cap subsets
-    return CoopGroup(members, 0, demand, rate, True)
-
-
-def oracle_power_solve(group, target_rate: float, dep, ch, cfg) -> float:
-    """Bisect the typical user's transmit power that reaches a target uplink rate.
-
-    Independent numeric route for the algebraic power solution. The bracket
-    comes from the problem: ``hi`` starts at the baseline power
-    ``mt_tx_power_mw`` and doubles while its rate falls short, then halves
-    while the half still reaches the target, which leaves ``hi / 2`` short.
-    Bisection then runs until the midpoint equals an end, and returns the
-    end that reaches the target.
-    """
-    if not 0 < target_rate < math.inf:
-        raise ValueError("target_rate must be positive and finite")
-
-    def rate(p):
-        return spectral_efficiency(uplink_joint_snr(p, group, dep, ch, cfg))
-
-    # the rate grows with p, to inf once the SNR overflows, and is 0 at
-    # p = 0, so both loops end
-    hi = cfg.mt_tx_power_mw
-    while rate(hi) < target_rate:
-        hi *= 2.0
-    if hi == math.inf:
-        raise ValueError("no finite transmit power reaches target_rate")
-    while rate(0.5 * hi) >= target_rate:
-        hi *= 0.5
-    lo = 0.5 * hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):     # the bracket is two adjacent floats
-            return hi
-        if rate(mid) < target_rate:
-            lo = mid
-        else:
-            hi = mid
-
-
-# ---------------------------------------------------------------------------
-# built-in validation suites
-# ---------------------------------------------------------------------------
-
-def grouping_validation_instance(cfg: ScenarioConfig, index: int):
-    """Random (deployment, channel, demand) instance for oracle comparison."""
-    base = RandomStream(cfg.seed, "validate/grouping", index)
-    dep, ch = draw_instance(cfg, base)
-    demand = float(base.child("demand").rng().uniform(0.0, 8.0))
-    return dep, ch, demand
-
-
-def power_validation_instance(cfg: ScenarioConfig, index: int):
-    """Random joint-reception instance: (group, baseline target, closed form)."""
-    base = RandomStream(cfg.seed, "validate/power", index)
-    dep, ch = draw_instance(cfg, base)
-    order = joint_reception_order(dep, ch, cfg)
-    n = int(base.child("size").rng().integers(1, cfg.n_candidates + 1))
-    group = order[:n]
-    target = spectral_efficiency(
-        uplink_joint_snr(cfg.mt_tx_power_mw, order[:1], dep, ch, cfg))
-    gains = ch.gains[:, 0]
-    closed = cfg.mt_tx_power_mw * gains[order[0]] / float(np.sum(gains[group]))
-    return dep, ch, group, target, closed
-
-
-def grouping_check(cfg: ScenarioConfig, n_instances: int) -> tuple:
-    """The greedy controller against the exhaustive oracle: a validation row."""
-    mismatches = []
-    for i in range(n_instances):
-        dep, ch, demand = grouping_validation_instance(cfg, i)
-        got = form_group(0, demand, dep, ch, cfg)
-        want = oracle_min_group(nearest_candidates(dep, 0, cfg.n_candidates),
-                                demand, dep, ch, cfg)
-        if set(got.member_bs) != set(want.member_bs):
-            mismatches.append(i)
-    return ("grouping-oracle", not mismatches,
-            f"{n_instances - len(mismatches)}/{n_instances} matched")
-
-
-def power_check(cfg: ScenarioConfig, n_instances: int) -> tuple:
-    """The closed-form terminal power against bisection: a validation row."""
-    worst = 0.0
-    for i in range(n_instances):
-        dep, ch, group, target, closed = power_validation_instance(cfg, i)
-        if not target > 0:
-            # no power reaches a zero rate target, so the bisection has no root
-            return ("power-solve", False, f"instance {i}: baseline rate rounds to 0")
-        solved = oracle_power_solve(group, target, dep, ch, cfg)
-        worst = max(worst, float(abs(solved - closed) / closed))
-    return ("power-solve", worst < 1e-9, f"max relative error {worst:.3e}")
-
-
-def run_validation(cfg: ScenarioConfig, n_instances: int = 1000) -> list:
-    """Run the built-in oracle suites; returns (name, passed, detail) rows."""
-    results = [grouping_check(cfg, n_instances), power_check(cfg, n_instances)]
-    results.append(("state-machine", _state_machine_ok(), "16 transition pairs checked"))
-
-    curve = run_bs_energy(cfg)
-    ledger = np.array([curve.saving_fraction[k] for k in curve.group_sizes])
-    worst = max(float(np.max(np.abs(ledger - bs_energy_trial(
-        cfg, curve.sleeping_counts, curve.group_sizes, curve.n_users, trial))))
-        for trial in range(20))
-    results.append(("bs-energy-ledger", worst <= 1e-12,
-                    f"20 simulated trials, max deviation {worst:.3e}"))
-
-    small = replace(cfg, n_trials=min(cfg.n_trials, 200))
-    pairs = (
-        (run_coverage(small, workers=1), run_coverage(small, workers=2)),
-        (run_mt_energy(small, workers=1), run_mt_energy(small, workers=2)),
-    )
-    same = all(a == b for a, b in pairs)
-    results.append(("determinism", same,
-                    "identical curves for 1 and 2 workers"))
-    return results
-
-
-def _state_machine_ok() -> bool:
-    """Every (state, target) pair against the rule the controller documents.
-
-    The expected set is derived here, not read from the controller's table:
-    a step is legal iff the two states' codes are adjacent, or it is ready ->
-    sleeping. A legal step must land on its target.
-    """
-    pos = np.array([[1.0, 1.0]])
-    mts = np.array([[5.0, 5.0]])
-    for current in BsPowerState:
-        for target in BsPowerState:
-            legal = (abs(current - target) == 1
-                     or (current, target) == (BsPowerState.READY, BsPowerState.SLEEPING))
-            dep = Deployment(pos, mts, (current.value,), (0,))
-            try:
-                landed = transition_many(dep, [0], target).bs_states[0] == target.value
-                ok = legal and landed
-            except IllegalTransition:
-                ok = not legal
-            if not ok:
-                return False
-    # a loaded BS must refuse every step
-    loaded = Deployment(pos, mts, (BsPowerState.TRANSFERRING.value,), (1,))
-    for target in BsPowerState:
-        try:
-            transition_many(loaded, [0], target)
-            return False
-        except BusyBs:
-            pass
-    return True

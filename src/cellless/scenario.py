@@ -8,6 +8,7 @@ numbers bit for bit.
 
 import hashlib
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -31,6 +32,31 @@ class BsPowerState(IntEnum):
 _FADING_MARGIN = 2.0 ** 64   # headroom for a fading draw, see ScenarioConfig
 
 
+def _number(value) -> float:
+    # float() would parse a string and take a bool as 0 or 1
+    if isinstance(value, (bool, str, bytes)):
+        raise TypeError
+    return float(value)
+
+
+def _typed(name: str, kind, value):
+    """A field value as its annotation types it: an exact int, a float, or floats."""
+    try:
+        if kind is int:
+            if isinstance(value, bool):
+                raise TypeError
+            # exact: a float, even a whole one, is refused rather than truncated
+            return operator.index(value)
+        if kind is float:
+            return _number(value)
+        if isinstance(value, tuple):
+            return tuple(_number(v) for v in value)
+    except TypeError:
+        kind_text = {int: "an integer", float: "a number"}.get(kind, "a tuple of numbers")
+        raise ConfigError(f"{name} must be {kind_text}, not {value!r}") from None
+    return value    # a tuple field given something else: the checks below name it
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All tunable constants of a simulation run."""
@@ -51,6 +77,10 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self):
+        # one value per field, typed by its annotation, so that equal configs
+        # echo and hash alike and a fractional count or seed is refused
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
         if self.n_bs < 1:
             raise ConfigError("n_bs must be at least 1")
         if not 0 <= self.n_busy_bs <= self.n_bs:
@@ -358,7 +388,7 @@ def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
     to underflow to 0, nothing would clash and the settle step would run and
     change nothing.) The typical user sits at the exact center; additional
     terminals are uniform. ``n_busy_bs`` stations, picked by one
-    ``rng.choice``, are marked busy.
+    ``rng.choice`` (none when ``n_busy_bs`` is 0), are marked busy.
 
     Only the draw happens here, and no :class:`Deployment` is built: the
     block kernels read the placement's arrays directly, and callers that
@@ -413,7 +443,10 @@ def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
                 ok[i] = False
         taken = np.concatenate([taken, batch[ok]])
     busy = np.zeros(cfg.n_bs, dtype=bool)
-    busy[rng.choice(cfg.n_bs, size=cfg.n_busy_bs, replace=False)] = True
+    if cfg.n_busy_bs:
+        # an empty choice draws no word, yet costs about a third of a
+        # single-BS placement
+        busy[rng.choice(cfg.n_bs, size=cfg.n_busy_bs, replace=False)] = True
     return Placement(taken[len(mt_positions):], mt_positions, busy)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import cellless
 from cellless import (ExperimentReport, IoFailure, MtEnergyCurve, ScenarioConfig,
-                      cli, config_lines, load_config, parse_csv, render_csv)
+                      cli, config_lines, load_config, parse_csv, render_csv, validation)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -229,6 +229,29 @@ def test_unbounded_sweep_exits_2(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,bad", [
+    (["bs-energy", "--sleeping_counts", "0.5,1.5,2.5"], "0.5"),
+    (["bs-energy", "--group_sizes", "2,3.5"], "3.5"),
+    (["mt-energy", "--group_sizes=1:3:0.5"], "1.5"),
+    (["mt-energy", "--group_sizes", "1,2.0000001"], "2.0000001"),
+])
+def test_fractional_integer_sweep_exits_2(capsys, argv, bad):
+    # rounding would run 0.5,1.5,2.5 as the two rows 0 and 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    flag = argv[1].partition("=")[0]
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: expected whole numbers, got {bad}\n")
+
+
+def test_whole_integer_sweeps_pass():
+    assert cli._int_sweep("0:10") == list(range(11))
+    assert cli._int_sweep("1:5:2") == [1, 3, 5]
+    assert cli._int_sweep("2,3.0,4e0") == [2, 3, 4]
+    assert all(type(v) is int for v in cli._int_sweep("0:3"))
+
+
 @pytest.mark.parametrize("argv,code", [
     (["coverage", "--thresholds_db", "-15:5:1"], 0),
     (["coverage", "--thresholds_db", "-5,0"], 0),
@@ -308,7 +331,8 @@ def test_bs_energy_has_no_event_log(tmp_path):
 
 
 def test_failed_validation_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_validation", lambda cfg: [("suite", False, "detail")])
+    # cli imports run_validation when validate runs, so the module's binding is the one used
+    monkeypatch.setattr(validation, "run_validation", lambda cfg: [("suite", False, "detail")])
     assert cli.main(["validate"]) == 1
     assert "suite: FAIL (detail)" in capsys.readouterr().out
 
@@ -339,3 +363,22 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_curve_commands_load_neither_controller_nor_validation():
+    # a host that writes no bytecode compiles every imported module on each
+    # start, and only validate runs the controller and the oracles
+    env = dict(os.environ, PYTHONPATH=str(Path(cellless.__file__).parents[1]))
+    guarded = "('cellless.controller', 'cellless.validation')"
+    code = ("import sys, cellless.cli; "
+            f"print(sorted(set({guarded}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+    validate = subprocess.run([sys.executable, "-m", "cellless.cli", "validate"], env=env,
+                              capture_output=True, text=True)
+    assert validate.returncode == 0, validate.stderr
+    rows = validate.stdout.splitlines()
+    assert [row.split(":")[0] for row in rows] == [
+        "grouping-oracle", "power-solve", "state-machine", "bs-energy-ledger", "determinism"]
+    assert all(": PASS (" in row for row in rows)

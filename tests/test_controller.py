@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cellless import (BsPowerState, BusyBs, CoopGroup, DomainError, EmptyGroup,
-                      IllegalTransition, NoBsAvailable, RandomStream, form_group,
-                      group_rate, nearest_awake, nearest_candidates,
-                      oracle_min_group, sample_channel, start_service, transition_many)
+from cellless import (BsPowerState, BusyBs, DomainError, EmptyGroup, IllegalTransition,
+                      NoBsAvailable, RandomStream, ScenarioConfig, nearest_candidates,
+                      sample_channel)
 from cellless import controller
+from cellless.controller import (CoopGroup, form_group, group_rate, nearest_awake,
+                                 start_service, transition_many)
+from cellless.validation import oracle_min_group
 from conftest import drawn_deployment, line_deployment, make_channel
 
 SLEEP = BsPowerState.SLEEPING
@@ -231,3 +235,28 @@ def test_greedy_matches_exhaustive_oracle(small_cfg):
         want = oracle_min_group(candidates, demand, dep, ch, small_cfg)
         assert set(got.member_bs) == set(want.member_bs)
         assert got.best_effort == want.best_effort
+
+
+@st.composite
+def _small_scenarios(draw):
+    """A config of at most 8 candidates, a seed and a demand (finite or not)."""
+    n_bs = draw(st.integers(1, 12))
+    n_candidates = draw(st.integers(1, min(8, n_bs)))
+    cfg = ScenarioConfig(n_bs=n_bs, n_busy_bs=draw(st.integers(0, n_bs)),
+                         n_candidates=n_candidates,
+                         max_group_size=draw(st.integers(1, n_candidates)),
+                         path_loss_exponent=draw(st.floats(2.0, 6.0)))
+    demand = draw(st.one_of(st.floats(0.0, 12.0), st.just(math.inf)))
+    return cfg, draw(st.integers(0, 2 ** 32)), demand
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_small_scenarios())
+def test_greedy_matches_exhaustive_oracle_on_small_configs(scenario):
+    cfg, seed, demand = scenario
+    base = RandomStream(seed, "oracle-property")
+    dep = drawn_deployment(cfg, base.child("deploy").rng())
+    ch = sample_channel(dep, cfg, base.child("fading"))
+    got = form_group(0, demand, dep, ch, cfg)
+    want = oracle_min_group(nearest_candidates(dep, 0, cfg.n_candidates), demand, dep, ch, cfg)
+    assert set(got.member_bs) == set(want.member_bs)

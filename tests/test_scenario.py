@@ -8,7 +8,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cellless import (BsPowerState, ConfigError, Deployment,
-                      PlacementFailure, RandomStream, ScenarioConfig, config_lines,
+                      PlacementFailure, RandomStream, ScenarioConfig, config_hash, config_lines,
                       generate_deployment, load_config, nearest_candidates, total_power_mw)
 from cellless.scenario import _label_key, _philox_key
 from conftest import drawn_deployment, make_deployment
@@ -24,15 +24,17 @@ CODE_LABELS = tuple(
     for part in parts)
 
 
-def _reference_deployment(cfg, stream, n_mt=1):
+def _reference_deployment(cfg, stream, n_mt=1, rng=None):
     """Sequential placement oracle: one proposal at a time, in draw order.
 
-    Draws exactly what `generate_deployment` draws and thins each proposal
-    against every terminal and every BS accepted before it, in scalar
-    arithmetic. Returns the reference ``Deployment``, its states and loads
-    set one busy station at a time, and the busy stations as a set.
+    Draws exactly what `generate_deployment` draws, from ``rng`` or else a
+    fresh generator of ``stream``, and thins each proposal against every
+    terminal and every BS accepted before it, in scalar arithmetic. Returns
+    the reference ``Deployment``, its states and loads set one busy station
+    at a time, and the busy stations as a set.
     """
-    rng = stream.rng()
+    if rng is None:
+        rng = stream.rng()
     area = cfg.area_side_m
     center = np.array([[area / 2.0, area / 2.0]])
     if n_mt > 1:
@@ -205,6 +207,44 @@ class TestScenarioConfig:
         # the old state-keyed dict is refused, not indexed by accident
         with pytest.raises(ConfigError, match="needs a tuple of 4 values"):
             ScenarioConfig(state_power_mw=dict(zip(BsPowerState, cfg.state_power_mw)))
+
+    def test_equal_configs_echo_and_hash_alike(self, cfg):
+        # an int given for a float field echoes and hashes as the float does
+        written = ScenarioConfig(area_side_m=50, state_power_mw=(10, 50, 80, 200),
+                                 n_bs=np.int64(50), seed=np.uint64(1))
+        assert written == cfg and hash(written) == hash(cfg)
+        assert config_lines(written) == config_lines(cfg)
+        assert config_hash(written) == config_hash(cfg)
+        assert type(written.area_side_m) is float and type(written.n_bs) is int
+        assert all(type(p) is float for p in written.state_power_mw)
+        assert type(written.seed) is int
+
+    def test_typed_values_round_trip_through_the_echo(self, tmp_path):
+        cfg = ScenarioConfig(area_side_m=40, state_power_mw=(5, 6.5, 7, 8),
+                             n_bs=np.int32(20), n_busy_bs=10, seed=2 ** 64 - 1)
+        path = tmp_path / "echo.cfg"
+        path.write_text("\n".join(config_lines(cfg)) + "\n")
+        assert load_config(path) == cfg
+        assert config_lines(load_config(path)) == config_lines(cfg)
+
+    @pytest.mark.parametrize("bad,message", [
+        # the Philox key would truncate a fractional seed to another seed
+        (dict(seed=1.5), "seed must be an integer, not 1.5"),
+        (dict(seed=1.0), "seed must be an integer, not 1.0"),
+        (dict(n_bs=50.0), "n_bs must be an integer, not 50.0"),
+        (dict(n_trials=10.5), "n_trials must be an integer, not 10.5"),
+        (dict(n_busy_bs=True), "n_busy_bs must be an integer, not True"),
+        (dict(max_group_size="3"), "max_group_size must be an integer, not '3'"),
+        (dict(area_side_m="50"), "area_side_m must be a number, not '50'"),
+        (dict(noise_power_mw=True), "noise_power_mw must be a number, not True"),
+        (dict(bs_tx_power_mw=None), "bs_tx_power_mw must be a number, not None"),
+        (dict(state_power_mw=(10, 50, "80", 200)),
+         re.escape("state_power_mw must be a tuple of numbers, not (10, 50, '80', 200)")),
+        (dict(state_power_mw=(10, 50, 80, False)), "state_power_mw must be a tuple of numbers"),
+    ])
+    def test_untyped_values_rejected(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(**bad)
 
     def test_state_powers_must_increase(self):
         with pytest.raises(ConfigError, match="state powers must increase"):
@@ -468,6 +508,18 @@ class TestGenerateDeployment:
         stream = RandomStream(6, "bs-count")
         for t in range(n_trials):
             assert _placed_as_reference(cfg, stream.for_trial(t), n_mt) is not None
+
+    @pytest.mark.parametrize("n_bs", [1, 50])
+    def test_no_busy_station_leaves_the_generator_where_the_reference_does(self, n_bs):
+        # the empty busy draw is skipped; the reference still makes it
+        cfg = ScenarioConfig(n_bs=n_bs, n_busy_bs=0, n_candidates=1, max_group_size=1)
+        stream = RandomStream(8, "no-busy")
+        for t in range(3):
+            ref_rng = stream.for_trial(t).rng()
+            _reference_deployment(cfg, stream.for_trial(t), rng=ref_rng)
+            rng = stream.for_trial(t).rng()
+            assert not generate_deployment(cfg, rng).busy.any()
+            assert rng.random(9).tobytes() == ref_rng.random(9).tobytes()
 
     def test_single_bs_draws_are_uniform(self):
         cfg = ScenarioConfig(n_bs=1, n_busy_bs=0, n_candidates=1, max_group_size=1)
