@@ -19,32 +19,15 @@ from .experiments import run_bs_energy, run_coverage, run_mt_energy
 from .report import ExperimentReport, emit_csv, emit_json, summarize
 from .scenario import ScenarioConfig, config_lines, load_config
 
-_FIELD_HELP = {
-    "area_side_m": "side of the square deployment area in meters",
-    "n_bs": "number of base stations",
-    "n_busy_bs": "BSs pre-committed to other users' groups (interferers)",
-    "n_candidates": "nearest BSs eligible for the typical user's group",
-    "max_group_size": "cooperative group size cap",
-    "state_power_mw": "consumed mW as 'sleeping,listening,ready,transferring'",
-    "bs_tx_power_mw": "downlink radiated power of a transferring BS in mW",
-    "mt_tx_power_mw": "baseline uplink terminal power in mW",
-    "path_loss_exponent": "log-distance path loss exponent (unitless)",
-    "reference_distance_m": "path loss reference distance in meters",
-    "noise_power_mw": "noise power over the normalized band in mW",
-    "min_distance_m": "placement exclusion radius in meters",
-    "n_trials": "Monte Carlo trial count",
-    "seed": "root seed, 64-bit unsigned integer",
-}
-
-
 _MAX_SWEEP_POINTS = 10_000
 
 
-def _sweep(text: str, cast):
-    """Parse 'start:stop:step' (inclusive) or a comma-separated list.
+def _sweep(text: str) -> list:
+    """Expand 'start:stop:step' (inclusive) or a comma-separated list to floats.
 
     Every number must be finite and a sweep holds at most 10 000 points; a
-    range's point count is checked before the range is built.
+    range's point count is checked before the range is built. Every other
+    sweep rule, such as whole counts, belongs to the ``run_*`` function.
     """
     is_range = ":" in text
     parts = [float(p) for p in text.split(":" if is_range else ",")]
@@ -67,30 +50,15 @@ def _sweep(text: str, cast):
     elif len(parts) > _MAX_SWEEP_POINTS:
         raise argparse.ArgumentTypeError(
             f"a sweep takes at most {_MAX_SWEEP_POINTS} points")
-    return [cast(v) for v in parts]
-
-
-def _float_sweep(text):
-    return _sweep(text, float)
-
-
-def _whole(value: float) -> int:
-    # round() would send 0.5 and 2.5 to 0 and 2, and the sweep would silently
-    # lose or merge points
-    if not value.is_integer():
-        raise argparse.ArgumentTypeError(f"expected whole numbers, got {value!r}")
-    return int(value)
-
-
-def _int_sweep(text):
-    return _sweep(text, _whole)
+    return parts
 
 
 def _add_config_flags(sub):
     # plain text flags: load_config parses them as it parses file lines
-    for line in config_lines(ScenarioConfig()):
-        name, _, default = line.partition(" = ")
-        sub.add_argument(f"--{name}", help=f"{_FIELD_HELP[name]} (default: {default})")
+    for f, line in zip(fields(ScenarioConfig), config_lines(ScenarioConfig())):
+        default = line.partition(" = ")[2]
+        sub.add_argument(f"--{f.name}",
+                         help=f"{f.metadata['help']} (default: {default})")
 
 
 def _add_common(sub, report: bool = True):
@@ -119,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     cov = sub.add_parser("coverage",
                          help="coverage probability vs SINR threshold, "
                               "cellular baseline vs cell-less grouping")
-    cov.add_argument("--thresholds_db", type=_float_sweep, default=None,
+    cov.add_argument("--thresholds_db", type=_sweep, default=None,
                      help="SINR thresholds in dB, 'start:stop:step' or comma "
                           "list (default: -15:5:1)")
     cov.add_argument("--event-log", dest="event_log", default=None,
@@ -128,10 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bse = sub.add_parser("bs-energy",
                          help="fractional BS power saving vs sleeping count")
-    bse.add_argument("--sleeping_counts", type=_int_sweep, default=None,
+    bse.add_argument("--sleeping_counts", type=_sweep, default=None,
                      help="sleeping BS counts, 'start:stop[:step]' or comma "
                           "list (default: 0:10)")
-    bse.add_argument("--group_sizes", type=_int_sweep, default=None,
+    bse.add_argument("--group_sizes", type=_sweep, default=None,
                      help="cooperative group sizes (default: 2,3,4)")
     bse.add_argument("--n_users", type=int, default=10,
                      help="terminals served per trial (default: 10)")
@@ -140,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     mte = sub.add_parser("mt-energy",
                          help="fractional terminal power saving vs joint-"
                               "reception group size")
-    mte.add_argument("--group_sizes", type=_int_sweep, default=None,
+    mte.add_argument("--group_sizes", type=_sweep, default=None,
                      help="joint-reception group sizes (default: 1,2,3,4,5)")
     _add_common(mte)
 
@@ -233,8 +201,7 @@ def _dispatch(args, cfg) -> int:
                                 group_sizes=args.group_sizes, n_users=args.n_users)
     else:
         payload = run_mt_energy(cfg, group_sizes=args.group_sizes, workers=args.workers)
-    report = ExperimentReport(args.command, cfg, payload,
-                              time.perf_counter() - started)
+    report = ExperimentReport(cfg, payload, time.perf_counter() - started)
     _emit(report, args)
     return 0
 

@@ -16,6 +16,10 @@ bit-identical for any worker count. With several workers the calling
 process runs the first chunk of trials and forks one child per other
 chunk, at most one process per CPU in all (see :func:`_scan_trials`).
 
+Each ``run_*`` function checks and normalises its sweeps by one rule,
+:func:`_checked_sweep`, before any trial, so a library caller and the
+command line get the same curve and the same refusals.
+
 ``run_coverage`` and ``run_mt_energy`` run their trials in blocks of
 ``BLOCK_TRIALS``: each trial draws its placement and fading from its own
 substreams, and everything after the draws is computed once per block on
@@ -38,7 +42,8 @@ import numpy as np
 
 from .channel import check_gains, path_loss
 from .errors import InfeasibleConfig
-from .scenario import BsPowerState, RandomStream, ScenarioConfig, generate_deployment
+from .scenario import (BsPowerState, RandomStream, ScenarioConfig, _number, _typed,
+                       generate_deployment)
 
 DEFAULT_THRESHOLDS_DB = tuple(float(t) for t in range(-15, 6))
 DEFAULT_SLEEPING_COUNTS = tuple(range(0, 11))
@@ -84,8 +89,9 @@ class CoverageCurve:
         if any(len(getattr(self, n)) != k for n in
                ("cellular_prob", "cellless_prob", "cellular_ci95", "cellless_ci95")):
             raise ValueError("curve columns must have one entry per threshold")
-        if list(self.thresholds_db) != sorted(self.thresholds_db):
-            raise ValueError("thresholds must ascend")
+        t = self.thresholds_db
+        if not all(map(math.isfinite, t)) or not all(a < b for a, b in zip(t, t[1:])):
+            raise ValueError("thresholds must be finite and strictly ascending")
         for probs in (self.cellular_prob, self.cellless_prob):
             if any(not 0.0 <= p <= 1.0 for p in probs):
                 raise ValueError("coverage probabilities must lie in [0, 1]")
@@ -141,6 +147,29 @@ class MtEnergyCurve:
         for n, v in zip(self.group_sizes, self.saving_fraction):
             if n == 1 and v != 0.0:
                 raise ValueError("a single-receiver group cannot save power")
+
+
+def _checked_sweep(name: str, values, default, whole: bool = True) -> tuple:
+    """``values`` (``default`` if None) as a sorted, deduplicated, non-empty tuple.
+
+    Each value is a finite number by the config's rule, so a bool or a string
+    is refused; with ``whole`` it is an int, and ``3.0`` is 3. A violation
+    raises :class:`InfeasibleConfig` naming the sweep and the value.
+    """
+    points = set()
+    for value in default if values is None else values:
+        try:
+            number = _number(value)
+        except (TypeError, OverflowError):
+            raise InfeasibleConfig(f"{name} takes numbers, not {value!r}") from None
+        if not math.isfinite(number):
+            raise InfeasibleConfig(f"{name} takes finite numbers, not {number!r}")
+        if whole and not number.is_integer():
+            raise InfeasibleConfig(f"{name} takes whole numbers, not {number!r}")
+        points.add(int(number) if whole else number)
+    if not points:
+        raise InfeasibleConfig(f"{name} is empty")
+    return tuple(sorted(points))
 
 
 def _scan_trials(block, n_trials: int, workers: int, start: int = 0):
@@ -302,12 +331,11 @@ def run_coverage(cfg: ScenarioConfig, thresholds_db=None, workers: int = 1,
     busy stations whose interference then counts as signal; both arms see
     the same deployment and fading. Coverage at a threshold is the fraction
     of trials whose SINR clears it, so each curve is non-increasing exactly.
-    Thresholds are sorted and deduplicated. ``event_log`` gets one line per
-    trial's group, in trial order.
+    Thresholds are finite, sorted and deduplicated. ``event_log`` gets one
+    line per trial's group, in trial order.
     """
-    if thresholds_db is None:
-        thresholds_db = DEFAULT_THRESHOLDS_DB
-    thresholds = sorted({float(t) for t in thresholds_db})
+    thresholds = _checked_sweep("thresholds_db", thresholds_db, DEFAULT_THRESHOLDS_DB,
+                                whole=False)
     _, members, sinr = _scan_trials(partial(coverage_block, cfg), cfg.n_trials, workers)
     n = cfg.n_trials
     if event_log is not None:
@@ -321,7 +349,7 @@ def run_coverage(cfg: ScenarioConfig, thresholds_db=None, workers: int = 1,
     cellular = [np.count_nonzero(sinr[:, 0] >= c) / n for c in cuts]
     cellless = [np.count_nonzero(sinr[:, 1] >= c) / n for c in cuts]
     return CoverageCurve(
-        thresholds_db=tuple(thresholds),
+        thresholds_db=thresholds,
         cellular_prob=tuple(cellular),
         cellless_prob=tuple(cellless),
         cellular_ci95=tuple(binomial_ci95(p, n) for p in cellular),
@@ -360,19 +388,17 @@ def run_bs_energy(cfg: ScenarioConfig, sleeping_counts=None, group_sizes=None,
     Every trial of :func:`validation.bs_energy_trial` yields the same exact ledger, so
     the curve is :func:`bs_energy_ledger` itself and every CI half-width is
     zero; ``n_trials`` is only echoed. The ``validate`` suite checks
-    simulated trials against it.
+    simulated trials against it. Both sweeps take whole numbers, and
+    ``n_users`` an exact integer, as the config's int fields do.
     """
-    if sleeping_counts is None:
-        sleeping_counts = DEFAULT_SLEEPING_COUNTS
-    if group_sizes is None:
-        group_sizes = DEFAULT_BS_GROUP_SIZES
-    sleeping_counts = tuple(sorted({int(s) for s in sleeping_counts}))
-    group_sizes = tuple(sorted({int(k) for k in group_sizes}))
+    sleeping_counts = _checked_sweep("sleeping_counts", sleeping_counts, DEFAULT_SLEEPING_COUNTS)
+    group_sizes = _checked_sweep("group_sizes", group_sizes, DEFAULT_BS_GROUP_SIZES)
+    n_users = _typed("n_users", int, n_users)
     if n_users < 1:
         raise InfeasibleConfig("n_users must be at least 1")
-    if sleeping_counts and sleeping_counts[0] < 0:
+    if sleeping_counts[0] < 0:
         raise InfeasibleConfig("sleeping counts must be non-negative")
-    most_asleep = sleeping_counts[-1] if sleeping_counts else 0
+    most_asleep = sleeping_counts[-1]     # the sweep is sorted and not empty
     for k in group_sizes:
         if k < 1:
             raise InfeasibleConfig("group sizes must be at least 1")
@@ -409,9 +435,7 @@ def mt_energy_block(cfg: ScenarioConfig, group_sizes, start: int, stop: int) -> 
 
 def run_mt_energy(cfg: ScenarioConfig, group_sizes=None, workers: int = 1) -> MtEnergyCurve:
     """Mean fractional terminal power saving per joint-reception group size."""
-    if group_sizes is None:
-        group_sizes = DEFAULT_MT_GROUP_SIZES
-    group_sizes = tuple(sorted({int(n) for n in group_sizes}))
+    group_sizes = _checked_sweep("group_sizes", group_sizes, DEFAULT_MT_GROUP_SIZES)
     for n in group_sizes:
         if not 1 <= n <= cfg.n_candidates:
             raise InfeasibleConfig(

@@ -1,10 +1,14 @@
 """Deterministic report artifacts: CSV with a metadata header, a nested
 JSON payload, and a one-paragraph verdict summary.
 
-The CSV is the canonical machine-readable output: '#'-prefixed metadata
-(experiment, config hash, seed, trial count, full config echo) followed by
-one row per curve point, numbers at 9 significant digits, '\\n' endings.
-Identical runs emit byte-identical files.
+One table (:func:`_table`) holds a report's content: the metadata pairs
+(experiment, config hash, seed, trial count, and for bs-energy the user
+count), the column names and the rows. The experiment name comes from the
+curve type. The CSV writes the pairs as '#'-prefixed lines, then the full
+config echo, then one row per curve point, numbers at 9 significant
+digits, '\\n' endings; the JSON writes the same pairs as top-level keys,
+the config echo as ``config``, then ``columns`` and ``rows``. Identical
+runs emit byte-identical files.
 """
 
 import hashlib
@@ -28,18 +32,9 @@ def config_hash(cfg: ScenarioConfig) -> str:
 class ExperimentReport:
     """One experiment's aggregated curve plus everything needed to rerun it."""
 
-    experiment: str
     config: ScenarioConfig
     payload: CoverageCurve | BsEnergyCurve | MtEnergyCurve
     duration_s: float = 0.0
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
-
-    @property
-    def n_trials(self) -> int:
-        return self.payload.n_trials
 
 
 def _fmt(value) -> str:
@@ -51,16 +46,20 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
-def _rows(payload):
-    """Column names and row tuples for one curve type, sweep ascending."""
+def _table(report: ExperimentReport) -> tuple:
+    """(metadata pairs, column names, row tuples) of a report, sweep ascending."""
+    payload = report.payload
+    extra = []
     if isinstance(payload, CoverageCurve):
+        name = "coverage"
         header = ("threshold_db", "cellular", "cellular_ci95",
                   "cellless", "cellless_ci95")
         rows = list(zip(payload.thresholds_db, payload.cellular_prob,
                         payload.cellular_ci95, payload.cellless_prob,
                         payload.cellless_ci95))
-        return header, rows
-    if isinstance(payload, BsEnergyCurve):
+    elif isinstance(payload, BsEnergyCurve):
+        name = "bs-energy"
+        extra = [("n_users", payload.n_users)]
         header = ["sleeping_count"]
         for k in payload.group_sizes:
             header += [f"saving_k{k}", f"saving_k{k}_ci95"]
@@ -70,26 +69,25 @@ def _rows(payload):
             for k in payload.group_sizes:
                 row += [payload.saving_fraction[k][si], payload.ci95[k][si]]
             rows.append(tuple(row))
-        return tuple(header), rows
-    if isinstance(payload, MtEnergyCurve):
+    elif isinstance(payload, MtEnergyCurve):
+        name = "mt-energy"
         header = ("group_size", "saving", "saving_ci95")
         rows = list(zip(payload.group_sizes, payload.saving_fraction, payload.ci95))
-        return header, rows
-    raise TypeError(f"unknown payload type {type(payload).__name__}")
+    else:
+        raise TypeError(f"unknown payload type {type(payload).__name__}")
+    meta = [("experiment", name), ("config_hash", config_hash(report.config)),
+            ("seed", report.config.seed), ("n_trials", payload.n_trials), *extra]
+    return meta, header, rows
 
 
 def render_csv(report: ExperimentReport) -> str:
     """The CSV text for a report; a pure function of its content."""
+    meta, header, rows = _table(report)
     out = io.StringIO()
-    out.write(f"# experiment = {report.experiment}\n")
-    out.write(f"# config_hash = {config_hash(report.config)}\n")
-    out.write(f"# seed = {report.seed}\n")
-    out.write(f"# n_trials = {report.n_trials}\n")
-    if isinstance(report.payload, BsEnergyCurve):
-        out.write(f"# n_users = {report.payload.n_users}\n")
+    for key, value in meta:
+        out.write(f"# {key} = {value}\n")
     for line in config_lines(report.config):
         out.write(f"# config.{line}\n")
-    header, rows = _rows(report.payload)
     out.write(",".join(header) + "\n")
     for row in rows:
         out.write(",".join(_fmt(v) for v in row) + "\n")
@@ -145,14 +143,10 @@ def parse_csv(source) -> tuple:
 
 def to_dict(report: ExperimentReport) -> dict:
     """Nested structured-object form of the report (same content as the CSV)."""
-    header, rows = _rows(report.payload)
+    meta, header, rows = _table(report)
     return {
-        "experiment": report.experiment,
-        "config_hash": config_hash(report.config),
-        "seed": report.seed,
-        "n_trials": report.n_trials,
-        "config": {line.split(" = ")[0]: line.split(" = ")[1]
-                   for line in config_lines(report.config)},
+        **dict(meta),
+        "config": dict(line.split(" = ", 1) for line in config_lines(report.config)),
         "columns": list(header),
         "rows": [[float(v) for v in row] for row in rows],
     }
@@ -165,10 +159,15 @@ def emit_json(report: ExperimentReport, destination) -> None:
 
 def summarize(report: ExperimentReport) -> str:
     """One-paragraph digest with pass/fail verdicts for the run's claims."""
-    payload = report.payload
+    text = _verdicts(report.payload)
+    return "no data" if text is None else f"{text}; completed in {report.duration_s:.2f} s."
+
+
+def _verdicts(payload):
+    """The claims a curve supports, with their verdicts; None for an empty curve."""
     if isinstance(payload, CoverageCurve):
         if not payload.thresholds_db:
-            return "no data"
+            return None
         offenders = [
             t for t, cell, cl, ci_a, ci_b in zip(
                 payload.thresholds_db, payload.cellular_prob, payload.cellless_prob,
@@ -182,10 +181,10 @@ def summarize(report: ExperimentReport) -> str:
                 f"cell-less ≥ cellular at all thresholds: {verdict}")
         if offenders:
             text += " (at " + ", ".join(f"{t:g} dB" for t in offenders) + ")"
-        return text + f"; completed in {report.duration_s:.2f} s."
+        return text
     if isinstance(payload, BsEnergyCurve):
         if not payload.sleeping_counts or not payload.group_sizes:
-            return "no data"
+            return None
         label = "≥".join(f"k={k}" for k in payload.group_sizes)
         bad_s = []
         for si, s in enumerate(payload.sleeping_counts):
@@ -208,10 +207,10 @@ def summarize(report: ExperimentReport) -> str:
                 f"ordering {label}: {order_verdict}")
         if bad_s:
             text += " (at s=" + ", ".join(str(s) for s in bad_s) + ")"
-        return text + f"; completed in {report.duration_s:.2f} s."
+        return text
     if isinstance(payload, MtEnergyCurve):
         if not payload.group_sizes:
-            return "no data"
+            return None
         rising = all(a <= b for a, b in zip(payload.saving_fraction,
                                             payload.saving_fraction[1:]))
         mono_verdict = "PASS" if rising else "FAIL"
@@ -223,6 +222,5 @@ def summarize(report: ExperimentReport) -> str:
                 f"{payload.group_sizes[0]}...{payload.group_sizes[-1]}, "
                 f"{payload.n_trials} trials, max CI half-width {max_ci:.4g}; "
                 f"saving non-decreasing in group size: {mono_verdict}; "
-                f"zero saving at size 1: {zero_verdict}; "
-                f"completed in {report.duration_s:.2f} s.")
-    return "no data"
+                f"zero saving at size 1: {zero_verdict}")
+    return None

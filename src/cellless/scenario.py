@@ -10,7 +10,7 @@ import hashlib
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from pathlib import Path
 from typing import NamedTuple
@@ -57,24 +57,30 @@ def _typed(name: str, kind, value):
     return value    # a tuple field given something else: the checks below name it
 
 
+def _param(default, help_text: str):
+    # the help text is the field's CLI --help line
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All tunable constants of a simulation run."""
 
-    area_side_m: float = 50.0
-    n_bs: int = 50
-    n_busy_bs: int = 30        # BSs pre-committed to other users' groups (interferers)
-    n_candidates: int = 10     # nearest BSs eligible for the typical user's group
-    max_group_size: int = 3
-    state_power_mw: tuple = (10.0, 50.0, 80.0, 200.0)  # mW drawn per state, by state code
-    bs_tx_power_mw: float = 200.0
-    mt_tx_power_mw: float = 100.0
-    path_loss_exponent: float = 4.0
-    reference_distance_m: float = 1.0
-    noise_power_mw: float = 1e-7
-    min_distance_m: float = 0.5   # placement exclusion radius, keeps gains finite
-    n_trials: int = 10000
-    seed: int = 1
+    area_side_m: float = _param(50.0, "side of the square deployment area in meters")
+    n_bs: int = _param(50, "number of base stations")
+    n_busy_bs: int = _param(30, "BSs pre-committed to other users' groups (interferers)")
+    n_candidates: int = _param(10, "nearest BSs eligible for the typical user's group")
+    max_group_size: int = _param(3, "cooperative group size cap")
+    state_power_mw: tuple = _param((10.0, 50.0, 80.0, 200.0),
+                                   "consumed mW as 'sleeping,listening,ready,transferring'")
+    bs_tx_power_mw: float = _param(200.0, "downlink radiated power of a transferring BS in mW")
+    mt_tx_power_mw: float = _param(100.0, "baseline uplink terminal power in mW")
+    path_loss_exponent: float = _param(4.0, "log-distance path loss exponent (unitless)")
+    reference_distance_m: float = _param(1.0, "path loss reference distance in meters")
+    noise_power_mw: float = _param(1e-7, "noise power over the normalized band in mW")
+    min_distance_m: float = _param(0.5, "placement exclusion radius in meters")
+    n_trials: int = _param(10000, "Monte Carlo trial count")
+    seed: int = _param(1, "root seed, 64-bit unsigned integer")
 
     def __post_init__(self):
         # one value per field, typed by its annotation, so that equal configs

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import time
 from dataclasses import replace
 from functools import partial
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellless import (BsEnergyCurve, BsPowerState, ChannelSample, CoverageCurve, Deployment,
-                      InfeasibleConfig, MtEnergyCurve, PlacementFailure, RandomStream,
-                      ScenarioConfig, bs_energy_ledger, experiments, nearest_candidates,
-                      run_bs_energy, run_coverage, run_mt_energy)
+from cellless import (BsEnergyCurve, BsPowerState, ChannelSample, ConfigError,
+                      CoverageCurve, Deployment, InfeasibleConfig, MtEnergyCurve,
+                      PlacementFailure, RandomStream, ScenarioConfig, bs_energy_ledger,
+                      experiments, nearest_candidates, run_bs_energy, run_coverage,
+                      run_mt_energy)
 from cellless.controller import form_group
 from cellless.experiments import (DEFAULT_THRESHOLDS_DB, binomial_ci95, coverage_block,
                                   mean_ci95, mt_energy_block)
@@ -237,7 +239,7 @@ class TestBsEnergy:
             run_bs_energy(replace(cfg, n_trials=2), sleeping_counts=[11],
                           group_sizes=[4], n_users=10)
         with pytest.raises(InfeasibleConfig, match="plus 0 sleepers need 60 BSs"):
-            run_bs_energy(cfg, sleeping_counts=[], group_sizes=[6], n_users=10)
+            run_bs_energy(cfg, sleeping_counts=[0], group_sizes=[6], n_users=10)
 
     def test_means_have_zero_spread(self, cfg):
         curve = run_bs_energy(replace(cfg, n_trials=10))
@@ -407,7 +409,74 @@ class TestScanFailures:
         _assert_no_children()
 
 
+# every sweep a run_* function takes; all but the first take whole numbers only
+SWEEPS = [(run_coverage, "thresholds_db"), (run_bs_energy, "sleeping_counts"),
+          (run_bs_energy, "group_sizes"), (run_mt_energy, "group_sizes")]
+SWEEP_IDS = [f"{run.__name__}-{name}" for run, name in SWEEPS]
+
+
+class TestSweepContract:
+    @pytest.fixture
+    def no_trials(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_scan_trials", reached)
+        monkeypatch.setattr(experiments, "bs_energy_ledger", reached)
+
+    @pytest.mark.parametrize("run,name", SWEEPS, ids=SWEEP_IDS)
+    @pytest.mark.parametrize("values,message", [
+        ([2, True], "takes numbers, not True"),
+        ([2, "3"], "takes numbers, not '3'"),
+        ([2, None], "takes numbers, not None"),
+        ([2, math.nan], "takes finite numbers, not nan"),
+        ([2, np.float64(math.inf)], "takes finite numbers, not inf"),
+        ([-math.inf, 2], "takes finite numbers, not -inf"),
+        ([], "is empty"),
+    ])
+    def test_refused_before_any_trial(self, cfg, no_trials, run, name, values, message):
+        with pytest.raises(InfeasibleConfig, match=f"^{name} {re.escape(message)}$"):
+            run(cfg, **{name: values})
+
+    @pytest.mark.parametrize("run,name", SWEEPS[1:], ids=SWEEP_IDS[1:])
+    @pytest.mark.parametrize("bad", [0.5, 2.7, np.float64(1.5)])
+    def test_fraction_refused_where_counts_are_whole(self, cfg, no_trials, run, name, bad):
+        with pytest.raises(InfeasibleConfig,
+                           match=f"^{name} takes whole numbers, not {float(bad)!r}$"):
+            run(cfg, **{name: [2, bad]})
+
+    @pytest.mark.parametrize("n_users", [True, 2.5, "10", None])
+    def test_n_users_must_be_an_exact_integer(self, cfg, no_trials, n_users):
+        with pytest.raises(ConfigError, match="^n_users must be an integer, not "):
+            run_bs_energy(cfg, n_users=n_users)
+
+    def test_whole_values_given_any_way_run_as_ints(self, cfg):
+        small = replace(cfg, n_trials=30)
+        want = run_bs_energy(small, sleeping_counts=(0, 1, 2), group_sizes=(2, 3))
+        for sleeping, sizes in [(range(3), [3, 2]), (np.arange(3), np.array([2, 3, 2])),
+                                ([2.0, 0, np.int64(1)], [3.0, np.float64(2.0)])]:
+            got = run_bs_energy(small, sleeping_counts=sleeping, group_sizes=sizes)
+            assert got == want
+            assert all(type(v) is int for v in got.sleeping_counts + got.group_sizes)
+        want = run_mt_energy(small, group_sizes=(1, 2, 3))
+        assert run_mt_energy(small, group_sizes=[3.0, np.int64(1), 2, 3]) == want
+        assert run_mt_energy(small, group_sizes=range(1, 4)) == want
+
+    def test_mixed_threshold_types_with_duplicates(self, cfg):
+        small = replace(cfg, n_trials=30)
+        want = run_coverage(small, thresholds_db=[-5.0, -2.5, 0.0])
+        got = run_coverage(small, thresholds_db=[0, -2.5, np.float64(-5.0), 0.0, np.int64(-5)])
+        assert got == want and got.thresholds_db == (-5.0, -2.5, 0.0)
+
+
 class TestCurveTypes:
+    @pytest.mark.parametrize("thresholds", [
+        (math.nan, 0.0), (0.0, math.nan), (math.nan,), (0.0, 0.0)])
+    def test_coverage_rejects_nan_or_repeated_thresholds(self, thresholds):
+        k = len(thresholds)
+        with pytest.raises(ValueError, match="thresholds must be finite and strictly ascending"):
+            CoverageCurve(thresholds, (0.5,) * k, (0.5,) * k, (0.0,) * k, (0.0,) * k, 10)
+
     def test_coverage_rejects_rising_probabilities(self):
         with pytest.raises(ValueError):
             CoverageCurve((0.0, 1.0), (0.4, 0.6), (0.5, 0.5),
