@@ -1,5 +1,6 @@
 """Monte Carlo simulator of SDN-controlled cooperative cell-less networks."""
 
+import importlib
 import os
 
 # No code path here calls BLAS or LAPACK, but numpy's bundled OpenBLAS
@@ -9,22 +10,36 @@ import os
 # setdefault keeps a value the user chose.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .channel import (ChannelSample, downlink_sinr, path_loss, sample_channel,
-                      spectral_efficiency, uplink_joint_snr)
-from .errors import (BusyBs, CelllessError, ConfigError, DomainError, EmptyGroup,
-                     IllegalTransition, InfeasibleConfig, IoFailure,
-                     NoBsAvailable, PlacementFailure)
-# The controller, the scalar references, the oracles and the validation suites
-# are not re-exported: the curve commands never run them, and importing them
-# here would compile them on every start. Import them from cellless.controller
-# and cellless.validation.
-from .experiments import (BsEnergyCurve, CoverageCurve, MtEnergyCurve,
-                          bs_energy_ledger, run_bs_energy, run_coverage,
-                          run_mt_energy)
-from .report import (ExperimentReport, config_hash, emit_csv, emit_json,
-                     parse_csv, render_csv, summarize, to_dict)
-from .scenario import (BsPowerState, Deployment, Placement, RandomStream, ScenarioConfig,
-                       config_lines, generate_deployment, load_config,
-                       nearest_candidates, total_power_mw)
+# Each public name and the module that defines it. A name is imported on
+# first access (PEP 562), so `import cellless` loads no numpy; a name from
+# channel or scenario loads it. The controller, the scalar references, the
+# oracles and the validation suites are not listed: import them from
+# cellless.controller and cellless.validation.
+_EXPORTS = {
+    **dict.fromkeys(("ChannelSample", "downlink_sinr", "path_loss", "sample_channel",
+                     "spectral_efficiency", "uplink_joint_snr"), "channel"),
+    **dict.fromkeys(("BsPowerState", "ScenarioConfig", "config_lines", "load_config"),
+                    "config"),
+    **dict.fromkeys(("BsEnergyCurve", "CoverageCurve", "MtEnergyCurve", "bs_energy_ledger",
+                     "run_bs_energy", "run_coverage", "run_mt_energy"), "curves"),
+    **dict.fromkeys(("BusyBs", "CelllessError", "ConfigError", "DomainError", "EmptyGroup",
+                     "IllegalTransition", "InfeasibleConfig", "IoFailure", "NoBsAvailable",
+                     "PlacementFailure"), "errors"),
+    **dict.fromkeys(("ExperimentReport", "config_hash", "emit_csv", "emit_json", "parse_csv",
+                     "render_csv", "summarize", "to_dict"), "report"),
+    **dict.fromkeys(("Deployment", "Placement", "RandomStream", "generate_deployment",
+                     "nearest_candidates", "total_power_mw"), "scenario"),
+}
 
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value     # later lookups skip this function
+    return value

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ScenarioConfig
 from .errors import DomainError, EmptyGroup
-from .scenario import Deployment, RandomStream, ScenarioConfig
+from .scenario import Deployment, RandomStream
 
 
 def check_gains(gains: np.ndarray) -> None:

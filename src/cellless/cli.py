@@ -14,10 +14,10 @@ import sys
 import time
 from dataclasses import fields
 
+from .config import ScenarioConfig, config_lines, load_config
+from .curves import run_bs_energy, run_coverage, run_mt_energy
 from .errors import ConfigError, InfeasibleConfig, IoFailure, PlacementFailure
-from .experiments import run_bs_energy, run_coverage, run_mt_energy
 from .report import ExperimentReport, emit_csv, emit_json, summarize
-from .scenario import ScenarioConfig, config_lines, load_config
 
 _MAX_SWEEP_POINTS = 10_000
 
@@ -208,6 +208,11 @@ def _dispatch(args, cfg) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+    if args.command != "bs-energy":
+        # every other command runs trials on the numpy engine: load it now,
+        # so that its import is start-up and not part of the run; bs-energy
+        # is a closed form and never loads numpy
+        from . import experiments  # noqa: F401
     try:
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")

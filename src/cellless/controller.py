@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSample, downlink_sinr, spectral_efficiency
+from .config import BsPowerState, ScenarioConfig
 from .errors import BusyBs, DomainError, EmptyGroup, IllegalTransition, NoBsAvailable
-from .scenario import BsPowerState, Deployment, ScenarioConfig, nearest_candidates
+from .scenario import Deployment, nearest_candidates
 
 
 #: States in which a BS may join a new group (once woken to transferring).

@@ -1,14 +1,10 @@
-"""Monte Carlo experiment curves and the block kernels that compute them.
+"""The Monte Carlo engine: block kernels over stacked trials, and the trial scan.
 
-Three experiments are provided:
-
-* coverage probability of the cooperative cell-less scheme against the
-  single-nearest-BS cellular baseline, on common random numbers;
-* fractional BS power saving as stations are put to sleep, for several
-  cooperative group sizes; no draw changes this power ledger, so it is
-  computed in closed form (:func:`bs_energy_ledger`);
-* fractional terminal power saving when uplink joint reception lets the
-  terminal back its transmit power off while holding the baseline rate.
+:mod:`cellless.curves` checks each experiment's sweeps and builds its curve;
+this module runs the trials and returns statistics, not rows:
+:func:`coverage_counts` gives the covered-trial count of each arm at each
+cut, and :func:`mt_energy_moments` the mean terminal saving and its CI per
+group size. The BS saving has a closed form and runs no trial.
 
 Every trial derives its randomness from a (seed, experiment, trial)
 substream and aggregation walks trials in index order, so outputs are
@@ -16,39 +12,28 @@ bit-identical for any worker count. With several workers the calling
 process runs the first chunk of trials and forks one child per other
 chunk, at most one process per CPU in all (see :func:`_scan_trials`).
 
-Each ``run_*`` function checks and normalises its sweeps by one rule,
-:func:`_checked_sweep`, before any trial, so a library caller and the
-command line get the same curve and the same refusals.
-
-``run_coverage`` and ``run_mt_energy`` run their trials in blocks of
-``BLOCK_TRIALS``: each trial draws its placement and fading from its own
-substreams, and everything after the draws is computed once per block on
-stacked ``(trials, n_bs)`` arrays. The block path reads each placement's
-arrays and builds no :class:`Deployment`, and it needs no controller: the
-greedy group with an infinite demand is the strongest candidates up to the
-size cap, a sort. The readable scalar references these kernels are checked
-against, the exhaustive oracles and the ``validate`` suites live in
-:mod:`cellless.validation`, which this module does not import.
+Trials run in blocks of ``BLOCK_TRIALS``: each trial draws its placement
+and fading from its own substreams, and everything after the draws is
+computed once per block on stacked ``(trials, n_bs)`` arrays. The block
+path reads each placement's arrays and builds no :class:`Deployment`, and
+it needs no controller: the greedy group with an infinite demand is the
+strongest candidates up to the size cap, a sort. The readable scalar
+references these kernels are checked against, the exhaustive oracles and
+the ``validate`` suites live in :mod:`cellless.validation`, which this
+module does not import.
 """
 
 import math
 import os
 import pickle
 import signal
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .channel import check_gains, path_loss
-from .errors import InfeasibleConfig
-from .scenario import (BsPowerState, RandomStream, ScenarioConfig, _number, _typed,
-                       generate_deployment)
-
-DEFAULT_THRESHOLDS_DB = tuple(float(t) for t in range(-15, 6))
-DEFAULT_SLEEPING_COUNTS = tuple(range(0, 11))
-DEFAULT_BS_GROUP_SIZES = (2, 3, 4)
-DEFAULT_MT_GROUP_SIZES = (1, 2, 3, 4, 5)
+from .config import ScenarioConfig
+from .scenario import RandomStream, generate_deployment
 
 # Trials stacked per block, so the stacked arrays do not grow with the chunk.
 # Stacking a whole 1 500-trial chunk raised a coverage run's peak RSS from
@@ -57,119 +42,12 @@ DEFAULT_MT_GROUP_SIZES = (1, 2, 3, 4, 5)
 BLOCK_TRIALS = 256
 
 
-def binomial_ci95(p: float, n: int) -> float:
-    """Half-width of the normal-approximation 95% CI of a proportion."""
-    return 1.96 * math.sqrt(p * (1.0 - p) / n)
-
-
 def mean_ci95(samples: np.ndarray) -> float:
     """Half-width of the normal-approximation 95% CI of a sample mean."""
     n = len(samples)
     if n < 2:
         return 0.0
     return 1.96 * float(np.std(samples, ddof=1)) / math.sqrt(n)
-
-
-@dataclass(frozen=True)
-class CoverageCurve:
-    """Coverage probability versus SINR threshold for both network flavors."""
-
-    thresholds_db: tuple
-    cellular_prob: tuple
-    cellless_prob: tuple
-    cellular_ci95: tuple
-    cellless_ci95: tuple
-    n_trials: int
-
-    def __post_init__(self):
-        for name in ("thresholds_db", "cellular_prob", "cellless_prob",
-                     "cellular_ci95", "cellless_ci95"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        k = len(self.thresholds_db)
-        if any(len(getattr(self, n)) != k for n in
-               ("cellular_prob", "cellless_prob", "cellular_ci95", "cellless_ci95")):
-            raise ValueError("curve columns must have one entry per threshold")
-        t = self.thresholds_db
-        if not all(map(math.isfinite, t)) or not all(a < b for a, b in zip(t, t[1:])):
-            raise ValueError("thresholds must be finite and strictly ascending")
-        for probs in (self.cellular_prob, self.cellless_prob):
-            if any(not 0.0 <= p <= 1.0 for p in probs):
-                raise ValueError("coverage probabilities must lie in [0, 1]")
-            if any(a < b for a, b in zip(probs, probs[1:])):
-                raise ValueError("coverage must be non-increasing in the threshold")
-
-
-@dataclass(frozen=True)
-class BsEnergyCurve:
-    """Mean fractional BS power saving per (sleeping count, group size)."""
-
-    sleeping_counts: tuple
-    group_sizes: tuple
-    saving_fraction: dict    # group size -> per-sleeping-count means
-    ci95: dict
-    n_users: int
-    n_trials: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "sleeping_counts", tuple(int(s) for s in self.sleeping_counts))
-        object.__setattr__(self, "group_sizes", tuple(int(k) for k in self.group_sizes))
-        saving = {int(k): tuple(float(v) for v in row) for k, row in self.saving_fraction.items()}
-        ci = {int(k): tuple(float(v) for v in row) for k, row in self.ci95.items()}
-        object.__setattr__(self, "saving_fraction", saving)
-        object.__setattr__(self, "ci95", ci)
-        if set(saving) != set(self.group_sizes) or set(ci) != set(self.group_sizes):
-            raise ValueError("savings must be keyed by the group sizes")
-        for k in self.group_sizes:
-            if len(saving[k]) != len(self.sleeping_counts):
-                raise ValueError("each group size needs one entry per sleeping count")
-            if any(not 0.0 <= v <= 1.0 for v in saving[k]):
-                raise ValueError("savings must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class MtEnergyCurve:
-    """Mean fractional terminal power saving per joint-reception group size."""
-
-    group_sizes: tuple
-    saving_fraction: tuple
-    ci95: tuple
-    n_trials: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "group_sizes", tuple(int(n) for n in self.group_sizes))
-        object.__setattr__(self, "saving_fraction",
-                           tuple(float(v) for v in self.saving_fraction))
-        object.__setattr__(self, "ci95", tuple(float(v) for v in self.ci95))
-        if len(self.saving_fraction) != len(self.group_sizes):
-            raise ValueError("one saving per group size required")
-        if any(not 0.0 <= v <= 1.0 for v in self.saving_fraction):
-            raise ValueError("savings must lie in [0, 1]")
-        for n, v in zip(self.group_sizes, self.saving_fraction):
-            if n == 1 and v != 0.0:
-                raise ValueError("a single-receiver group cannot save power")
-
-
-def _checked_sweep(name: str, values, default, whole: bool = True) -> tuple:
-    """``values`` (``default`` if None) as a sorted, deduplicated, non-empty tuple.
-
-    Each value is a finite number by the config's rule, so a bool or a string
-    is refused; with ``whole`` it is an int, and ``3.0`` is 3. A violation
-    raises :class:`InfeasibleConfig` naming the sweep and the value.
-    """
-    points = set()
-    for value in default if values is None else values:
-        try:
-            number = _number(value)
-        except (TypeError, OverflowError):
-            raise InfeasibleConfig(f"{name} takes numbers, not {value!r}") from None
-        if not math.isfinite(number):
-            raise InfeasibleConfig(f"{name} takes finite numbers, not {number!r}")
-        if whole and not number.is_integer():
-            raise InfeasibleConfig(f"{name} takes whole numbers, not {number!r}")
-        points.add(int(number) if whole else number)
-    if not points:
-        raise InfeasibleConfig(f"{name} is empty")
-    return tuple(sorted(points))
 
 
 def _scan_trials(block, n_trials: int, workers: int, start: int = 0):
@@ -321,23 +199,14 @@ def coverage_block(cfg: ScenarioConfig, start: int, stop: int):
     return nearest, members, sinr
 
 
-def run_coverage(cfg: ScenarioConfig, thresholds_db=None, workers: int = 1,
-                 event_log=None) -> CoverageCurve:
-    """Coverage probability versus SINR threshold.
+def coverage_counts(cfg: ScenarioConfig, cuts, workers: int, event_log) -> tuple:
+    """Covered-trial counts of (cellular, cell-less) at each linear SINR cut.
 
-    Per trial, the cellular arm associates the typical user with its single
-    nearest BS while the cell-less arm serves it with a cooperative group
-    filled greedily to the size cap from the strongest candidates, enlisting
-    busy stations whose interference then counts as signal; both arms see
-    the same deployment and fading. Coverage at a threshold is the fraction
-    of trials whose SINR clears it, so each curve is non-increasing exactly.
-    Thresholds are finite, sorted and deduplicated. ``event_log`` gets one
-    line per trial's group, in trial order.
+    Each arm's entry holds, per cut in ``cuts``, the number of trials whose
+    SINR is at least the cut, as a Python int. ``event_log`` gets one line
+    per trial's group, in trial order, unless it is None.
     """
-    thresholds = _checked_sweep("thresholds_db", thresholds_db, DEFAULT_THRESHOLDS_DB,
-                                whole=False)
     _, members, sinr = _scan_trials(partial(coverage_block, cfg), cfg.n_trials, workers)
-    n = cfg.n_trials
     if event_log is not None:
         # form_group's rate < demand with an infinite demand: false exactly
         # when the group SINR is inf or nan
@@ -345,73 +214,8 @@ def run_coverage(cfg: ScenarioConfig, thresholds_db=None, workers: int = 1,
             listed = ",".join(map(str, row))
             event_log.write(f"trial={trial} mt=0 members={listed} "
                             f"best_effort={str(group_sinr < math.inf).lower()}\n")
-    cuts = [10.0 ** (t / 10.0) for t in thresholds]
-    cellular = [np.count_nonzero(sinr[:, 0] >= c) / n for c in cuts]
-    cellless = [np.count_nonzero(sinr[:, 1] >= c) / n for c in cuts]
-    return CoverageCurve(
-        thresholds_db=thresholds,
-        cellular_prob=tuple(cellular),
-        cellless_prob=tuple(cellless),
-        cellular_ci95=tuple(binomial_ci95(p, n) for p in cellular),
-        cellless_ci95=tuple(binomial_ci95(p, n) for p in cellless),
-        n_trials=n,
-    )
-
-
-# ---------------------------------------------------------------------------
-# BS energy saving
-# ---------------------------------------------------------------------------
-
-def bs_energy_ledger(cfg: ScenarioConfig, s: int, k: int, n_users: int) -> float:
-    """Fractional BS power saving with ``s`` sleepers, in closed form.
-
-    ``n_users`` groups of ``k`` members transfer and every other BS listens
-    in the baseline; each sleeper draws P_sleep instead of P_listen, so
-
-        saving = s (P_listen - P_sleep)
-                 / (n_users k P_transfer + (n_bs - n_users k) P_listen).
-
-    Placement, fading and grouping only decide which stations transfer or
-    sleep, never how many, so no draw enters.
-    """
-    power = cfg.state_power_mw
-    p_listen = power[BsPowerState.LISTENING]
-    busy = n_users * k
-    p_base = busy * power[BsPowerState.TRANSFERRING] + (cfg.n_bs - busy) * p_listen
-    return s * (p_listen - power[BsPowerState.SLEEPING]) / p_base
-
-
-def run_bs_energy(cfg: ScenarioConfig, sleeping_counts=None, group_sizes=None,
-                  n_users: int = 10) -> BsEnergyCurve:
-    """Fractional BS power saving over sleeping counts and group sizes.
-
-    Every trial of :func:`validation.bs_energy_trial` yields the same exact ledger, so
-    the curve is :func:`bs_energy_ledger` itself and every CI half-width is
-    zero; ``n_trials`` is only echoed. The ``validate`` suite checks
-    simulated trials against it. Both sweeps take whole numbers, and
-    ``n_users`` an exact integer, as the config's int fields do.
-    """
-    sleeping_counts = _checked_sweep("sleeping_counts", sleeping_counts, DEFAULT_SLEEPING_COUNTS)
-    group_sizes = _checked_sweep("group_sizes", group_sizes, DEFAULT_BS_GROUP_SIZES)
-    n_users = _typed("n_users", int, n_users)
-    if n_users < 1:
-        raise InfeasibleConfig("n_users must be at least 1")
-    if sleeping_counts[0] < 0:
-        raise InfeasibleConfig("sleeping counts must be non-negative")
-    most_asleep = sleeping_counts[-1]     # the sweep is sorted and not empty
-    for k in group_sizes:
-        if k < 1:
-            raise InfeasibleConfig("group sizes must be at least 1")
-        need = n_users * k + most_asleep
-        if need > cfg.n_bs:
-            raise InfeasibleConfig(
-                f"{n_users} groups of {k} plus {most_asleep} sleepers "
-                f"need {need} BSs but only {cfg.n_bs} exist")
-    saving = {k: tuple(bs_energy_ledger(cfg, s, k, n_users) for s in sleeping_counts)
-              for k in group_sizes}
-    ci = {k: (0.0,) * len(sleeping_counts) for k in group_sizes}
-    return BsEnergyCurve(sleeping_counts, group_sizes, saving, ci,
-                         n_users, cfg.n_trials)
+    return tuple(tuple(int(np.count_nonzero(sinr[:, arm] >= c)) for c in cuts)
+                 for arm in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +237,9 @@ def mt_energy_block(cfg: ScenarioConfig, group_sizes, start: int, stop: int) -> 
     return 1.0 - prefix[:, :1] / prefix[:, np.asarray(group_sizes, dtype=int) - 1]
 
 
-def run_mt_energy(cfg: ScenarioConfig, group_sizes=None, workers: int = 1) -> MtEnergyCurve:
-    """Mean fractional terminal power saving per joint-reception group size."""
-    group_sizes = _checked_sweep("group_sizes", group_sizes, DEFAULT_MT_GROUP_SIZES)
-    for n in group_sizes:
-        if not 1 <= n <= cfg.n_candidates:
-            raise InfeasibleConfig(
-                f"group size {n} outside [1, n_candidates={cfg.n_candidates}]")
+def mt_energy_moments(cfg: ScenarioConfig, group_sizes, workers: int) -> tuple:
+    """(mean saving, CI half-width) tuples of the terminal saving, one entry per group size."""
     samples = _scan_trials(partial(mt_energy_block, cfg, group_sizes), cfg.n_trials, workers)
     saving = tuple(float(np.mean(samples[:, i])) for i in range(len(group_sizes)))
     ci = tuple(mean_ci95(samples[:, i]) for i in range(len(group_sizes)))
-    return MtEnergyCurve(group_sizes, saving, ci, cfg.n_trials)
+    return saving, ci

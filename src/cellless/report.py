@@ -17,9 +17,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import ScenarioConfig, config_lines
+from .curves import BsEnergyCurve, CoverageCurve, MtEnergyCurve
 from .errors import IoFailure
-from .experiments import BsEnergyCurve, CoverageCurve, MtEnergyCurve
-from .scenario import ScenarioConfig, config_lines
 
 
 def config_hash(cfg: ScenarioConfig) -> str:

@@ -1,8 +1,9 @@
 """Scalar references, exhaustive oracles and the built-in validation suites.
 
 Nothing here produces a curve. The block kernels of :mod:`cellless.experiments`
-are what the ``coverage``, ``mt-energy`` and ``bs-energy`` commands run; this
-module holds what those kernels and the controller are checked against:
+and the closed-form ledger of :mod:`cellless.curves` are what the ``coverage``,
+``mt-energy`` and ``bs-energy`` commands run; this module holds what those
+and the controller are checked against:
 
 * the readable scalar references (:func:`coverage_trial`,
   :func:`mt_energy_trial`, :func:`bs_energy_trial`), which draw each trial
@@ -24,12 +25,16 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import downlink_sinr, sample_channel, spectral_efficiency, uplink_joint_snr
+from .config import BsPowerState, ScenarioConfig
 from .controller import (IDLE_STATES, CoopGroup, form_group, group_rate, nearest_awake,
                          start_service, transition_many)
-from .errors import BusyBs, IllegalTransition
-from .experiments import run_bs_energy, run_coverage, run_mt_energy
-from .scenario import (BsPowerState, Deployment, RandomStream, ScenarioConfig,
-                       generate_deployment, nearest_candidates, total_power_mw)
+from .curves import run_bs_energy, run_coverage, run_mt_energy
+from .errors import BusyBs, IllegalTransition, InfeasibleConfig
+from .scenario import (Deployment, RandomStream, generate_deployment, nearest_candidates,
+                       total_power_mw)
+
+# the most candidates oracle_min_group searches: at most 2 ** 12 subsets
+ORACLE_MAX_CANDIDATES = 12
 
 
 def draw_instance(cfg: ScenarioConfig, base: RandomStream):
@@ -138,8 +143,8 @@ def oracle_min_group(candidates, demand: float, dep, ch, cfg) -> CoopGroup:
     # the module would add about 0.3 MB and 3 ms to every command's start-up
     from fractions import Fraction
 
-    if len(candidates) > 12:
-        raise ValueError("exhaustive search is limited to 12 candidates")
+    if len(candidates) > ORACLE_MAX_CANDIDATES:
+        raise ValueError(f"exhaustive search is limited to {ORACLE_MAX_CANDIDATES} candidates")
     idle = sorted(b for b in candidates if BsPowerState(dep.bs_states[b]) in IDLE_STATES)
     if not idle:
         fallback = nearest_awake(dep, 0)
@@ -258,7 +263,15 @@ def power_check(cfg: ScenarioConfig, n_instances: int) -> tuple:
 
 
 def run_validation(cfg: ScenarioConfig, n_instances: int = 1000) -> list:
-    """Run the built-in oracle suites; returns (name, passed, detail) rows."""
+    """Run the built-in oracle suites; returns (name, passed, detail) rows.
+
+    A config whose candidate set the grouping oracle cannot search raises
+    :class:`InfeasibleConfig` before any suite runs.
+    """
+    if cfg.n_candidates > ORACLE_MAX_CANDIDATES:
+        raise InfeasibleConfig(
+            f"validate checks grouping against an exhaustive search of at most "
+            f"{ORACLE_MAX_CANDIDATES} candidates, not n_candidates={cfg.n_candidates}")
     results = [grouping_check(cfg, n_instances), power_check(cfg, n_instances)]
     results.append(("state-machine", _state_machine_ok(), "16 transition pairs checked"))
 

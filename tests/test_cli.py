@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import io
 import json
 import os
@@ -277,6 +278,15 @@ def test_whole_integer_sweeps_pass(tmp_path, capsys, text, want):
     assert [row.split(",")[0] for row in rows[1:]] == [str(s) for s in want]
 
 
+@pytest.mark.parametrize("threshold,covered", [("4000", "0"), ("-4000", "1")])
+def test_thresholds_beyond_the_float_range(tmp_path, capsys, threshold, covered):
+    # 10 ** 400 overflows a float and no SINR clears it; 10 ** -400 rounds to 0
+    out = tmp_path / "out.csv"
+    assert cli.main(["coverage", f"--thresholds_db={threshold}", "--n_trials", "20",
+                     "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == f"{threshold},{covered},0,{covered},0"
+
+
 @pytest.mark.parametrize("argv,code", [
     (["coverage", "--thresholds_db", "-15:5:1"], 0),
     (["coverage", "--thresholds_db", "-5,0"], 0),
@@ -362,6 +372,17 @@ def test_failed_validation_exits_1(monkeypatch, capsys):
     assert "suite: FAIL (detail)" in capsys.readouterr().out
 
 
+def test_validate_refuses_more_candidates_than_the_oracle_searches(monkeypatch, capsys):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(validation, "grouping_check", no_suite)
+    assert cli.main(["validate", "--n_candidates", "13"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: validate checks grouping against an exhaustive search "
+                   "of at most 12 candidates, not n_candidates=13\n")
+
+
 def _tasks_after_import(env_update):
     """Threads of a fresh interpreter that has imported cellless, and its OPENBLAS_NUM_THREADS."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -407,3 +428,58 @@ def test_curve_commands_load_neither_controller_nor_validation():
     assert [row.split(":")[0] for row in rows] == [
         "grouping-oracle", "power-solve", "state-machine", "bs-energy-ledger", "determinism"]
     assert all(": PASS (" in row for row in rows)
+
+
+def _numpy_loaded_after(code):
+    """What a fresh interpreter that runs ``code`` prints, then whether it loaded numpy."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cellless.__file__).parents[1]))
+    code += "\nimport sys; print('numpy' in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+@pytest.mark.parametrize("module", ["cellless", "cellless.cli"])
+def test_import_loads_no_numpy(module):
+    assert _numpy_loaded_after(f"import {module}") == ["False"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["bs-energy"], 0),
+    (["bs-energy", "--n_bs", "0"], 2),
+    (["--help"], 0),
+    (["coverage", "--help"], 0),
+    (["bs-energy", "--help"], 0),
+    (["mt-energy", "--help"], 0),
+    (["validate", "--help"], 0),
+])
+def test_commands_that_run_no_trial_load_no_numpy(argv, code):
+    # the command's own output is dropped; its exit code is printed
+    run = ("import contextlib, io, cellless.cli as cli\n"
+           "with contextlib.redirect_stdout(io.StringIO()), "
+           "contextlib.redirect_stderr(io.StringIO()):\n"
+           "    try:\n"
+           f"        code = cli.main({argv!r})\n"
+           "    except SystemExit as exc:\n"
+           "        code = exc.code\n"
+           "print(code)")
+    assert _numpy_loaded_after(run) == [str(code), "False"]
+
+
+@pytest.mark.parametrize("command", ["coverage", "mt-energy"])
+def test_trial_commands_load_the_engine_before_the_config(tmp_path, monkeypatch, capsys,
+                                                          command):
+    # unload the engine, as in a fresh process; every binding is restored after
+    engine = importlib.import_module("cellless.experiments")
+    monkeypatch.setattr(cellless, "experiments", engine)
+    monkeypatch.delattr(cellless, "experiments")
+    monkeypatch.delitem(sys.modules, "cellless.experiments")
+    loaded = []
+    load_config = cli.load_config
+
+    def watched(*args, **kwargs):
+        loaded.append("cellless.experiments" in sys.modules)
+        return load_config(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_config", watched)
+    assert cli.main([command, "--n_trials", "2", "--output", str(tmp_path / "out.csv")]) == 0
+    assert loaded == [True]

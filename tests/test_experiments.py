@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from cellless import (BsEnergyCurve, BsPowerState, ChannelSample, ConfigError,
                       CoverageCurve, Deployment, InfeasibleConfig, MtEnergyCurve,
                       PlacementFailure, RandomStream, ScenarioConfig, bs_energy_ledger,
-                      experiments, nearest_candidates, run_bs_energy, run_coverage,
+                      curves, experiments, nearest_candidates, run_bs_energy, run_coverage,
                       run_mt_energy)
 from cellless.controller import form_group
-from cellless.experiments import (DEFAULT_THRESHOLDS_DB, binomial_ci95, coverage_block,
-                                  mean_ci95, mt_energy_block)
+from cellless.curves import DEFAULT_THRESHOLDS_DB, binomial_ci95
+from cellless.experiments import coverage_block, mean_ci95, mt_energy_block
 from cellless.validation import bs_energy_trial, coverage_trial, draw_instance, mt_energy_trial
 
 EPS = np.finfo(float).eps
@@ -421,8 +421,10 @@ class TestSweepContract:
         def reached(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(experiments, "_scan_trials", reached)
-        monkeypatch.setattr(experiments, "bs_energy_ledger", reached)
+        # the names the run_* functions look up when they call
+        monkeypatch.setattr(experiments, "coverage_counts", reached)
+        monkeypatch.setattr(experiments, "mt_energy_moments", reached)
+        monkeypatch.setattr(curves, "bs_energy_ledger", reached)
 
     @pytest.mark.parametrize("run,name", SWEEPS, ids=SWEEP_IDS)
     @pytest.mark.parametrize("values,message", [
@@ -433,6 +435,8 @@ class TestSweepContract:
         ([2, np.float64(math.inf)], "takes finite numbers, not inf"),
         ([-math.inf, 2], "takes finite numbers, not -inf"),
         ([], "is empty"),
+        (5, "takes a sequence of numbers, not 5"),
+        ([2, 10 ** 400], "takes finite numbers, not one beyond the float range"),
     ])
     def test_refused_before_any_trial(self, cfg, no_trials, run, name, values, message):
         with pytest.raises(InfeasibleConfig, match=f"^{name} {re.escape(message)}$"):
@@ -493,6 +497,36 @@ class TestCurveTypes:
     def test_bs_curve_rejects_key_mismatch(self):
         with pytest.raises(ValueError):
             BsEnergyCurve((0, 1), (2, 3), {2: (0.0, 0.1)}, {2: (0.0, 0.0)}, 10, 5)
+
+    @pytest.mark.parametrize("sizes,message", [
+        ((2.7, True), "group_sizes must be an integer, not 2.7"),
+        ((True, 2), "group_sizes must be an integer, not True"),
+        ((2.0, 3), "group_sizes must be an integer, not 2.0"),
+        ((3, 2), "group_sizes must be strictly ascending"),
+        ((2, 2), "group_sizes must be strictly ascending"),
+    ])
+    def test_mt_curve_takes_ascending_integer_sizes(self, sizes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MtEnergyCurve(sizes, (0.1, 0.0), (0.0, 0.0), 10)
+
+    @pytest.mark.parametrize("sleeping,n_users,message", [
+        ((0.5, 0.5), True, "sleeping_counts must be an integer, not 0.5"),
+        ((0, 1), True, "n_users must be an integer, not True"),
+        ((1, 0), 5, "sleeping_counts must be strictly ascending"),
+        ((0, 0), 5, "sleeping_counts must be strictly ascending"),
+        ((0, 1), 2.0, "n_users must be an integer, not 2.0"),
+        ((0, 1), 0, "n_users must be at least 1"),
+    ])
+    def test_bs_curve_takes_ascending_integer_counts_and_users(self, sleeping, n_users, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BsEnergyCurve(sleeping, (2,), {2: (0.0, 0.0)}, {2: (0.0, 0.0)}, n_users, 5)
+
+    def test_hand_built_curves_store_exact_ints(self):
+        mt = MtEnergyCurve((np.int64(1), 2), (0.0, 0.1), (0.0, 0.0), 10)
+        bs = BsEnergyCurve(range(2), (np.int64(2),), {2: (0.0, 0.1)}, {2: (0.0, 0.0)},
+                           np.int64(5), 10)
+        assert all(type(v) is int for v in mt.group_sizes + bs.sleeping_counts
+                   + bs.group_sizes + (bs.n_users,))
 
 
 class TestConfidenceIntervals:
