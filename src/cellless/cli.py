@@ -161,6 +161,13 @@ def _check_report_path(path: str) -> None:
         raise PermissionError(errno.EACCES, "not writable", target)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: by inode when both exist, else by resolved path."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _emit(report, args) -> None:
     writer = emit_csv if args.format == "csv" else emit_json
     if args.output is None:
@@ -186,6 +193,9 @@ def _dispatch(args, cfg) -> int:
     for path in (args.output, event_log):
         if path is not None:
             _check_report_path(path)
+    if event_log is not None and args.output is not None and _same_file(event_log, args.output):
+        # the report is written last and would replace the log
+        raise ConfigError(f"--event-log and --output name one file: {event_log}")
     started = time.perf_counter()
     if args.command == "coverage":
         # the log is written after the scan, so it is held until the run

@@ -145,6 +145,8 @@ def _parse_value(key: str, text: str):
 def load_config(path=None, overrides=None) -> ScenarioConfig:
     """Build a config from defaults, then a 'key = value' UTF-8 file, then overrides.
 
+    A byte-order mark at the start of the file is dropped.
+
     File values and ``str`` overrides (CLI flags) share one parser; other
     overrides are used as is. Unknown keys, and keys repeated in the file,
     are fatal: silent typos in simulation configs corrupt results.
@@ -152,7 +154,9 @@ def load_config(path=None, overrides=None) -> ScenarioConfig:
     values = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            # utf-8-sig drops a leading byte-order mark, which would
+            # otherwise become part of the first key
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
         set_on = {}

@@ -27,13 +27,14 @@ import math
 import os
 import pickle
 import signal
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from .channel import check_gains, path_loss
 from .config import ScenarioConfig
-from .scenario import RandomStream, generate_deployment
+from .scenario import RandomStream, busy_decodable, decode_busy, generate_deployment
 
 # Trials stacked per block, so the stacked arrays do not grow with the chunk.
 # Stacking a whole 1 500-trial chunk raised a coverage run's peak RSS from
@@ -136,19 +137,41 @@ def draw_block(cfg: ScenarioConfig, label: str, start: int, stop: int):
     placement's positions and busy mask are copied into the block; no
     ``Deployment`` is built. Returns ``(dist, gains, busy)``, each of shape
     ``(stop - start, n_bs)``.
+
+    Where :func:`busy_decodable` holds, each trial places its stations with
+    ``n_busy_bs`` 0, which leaves its generator where ``choice`` would
+    start, and keeps the raw words that ``choice`` would read; one
+    :func:`decode_busy` pass then picks the whole block's busy sets. A row
+    the decode flags takes its busy set from the trial's own
+    :func:`generate_deployment`, and so does every row of any other config.
     """
     trials = range(start, stop)
     base = RandomStream(cfg.seed, label)
-    deploy = base.child("deploy").rngs(trials)
+    deploy_stream = base.child("deploy")
+    deploy = deploy_stream.rngs(trials)
     fading = base.child("fading").rngs(trials)
-    positions = np.empty((len(trials), cfg.n_bs, 2))
-    busy = np.empty((len(trials), cfg.n_bs), dtype=bool)
-    fade = np.empty((len(trials), cfg.n_bs))
+    n_bs, n_busy = cfg.n_bs, cfg.n_busy_bs
+    decode = busy_decodable(n_bs, n_busy)
+    # m == n draws its first step over [0, 0] from no word
+    n_words = (n_busy - (n_busy == n_bs) + 1) // 2 if decode else 0
+    placing = replace(cfg, n_busy_bs=0) if decode else cfg
+    positions = np.empty((len(trials), n_bs, 2))
+    busy = np.zeros((len(trials), n_bs), dtype=bool)
+    words = np.empty((len(trials), n_words), dtype=np.uint64)
+    fade = np.empty((len(trials), n_bs))
     for i, (deploy_rng, fading_rng) in enumerate(zip(deploy, fading)):
-        placed = generate_deployment(cfg, deploy_rng)
+        placed = generate_deployment(placing, deploy_rng)
         positions[i] = placed.bs_positions
-        busy[i] = placed.busy
-        fade[i] = fading_rng.exponential(1.0, size=(cfg.n_bs, 1))[:, 0]
+        if decode:
+            words[i] = deploy_rng.bit_generator.random_raw(n_words)
+        else:
+            busy[i] = placed.busy
+        fading_rng.standard_exponential(out=fade[i])
+    if decode:
+        chosen, flagged = decode_busy(words, n_bs, n_busy)
+        np.put_along_axis(busy, chosen, True, axis=1)
+        for i in np.flatnonzero(flagged).tolist():
+            busy[i] = generate_deployment(cfg, deploy_stream.for_trial(start + i).rng()).busy
     # the typical user sits at the center, as generate_deployment puts it
     center = cfg.area_side_m / 2.0
     dist = np.hypot(positions[..., 0] - center, positions[..., 1] - center)

@@ -215,7 +215,11 @@ def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
     to underflow to 0, nothing would clash and the settle step would run and
     change nothing.) The typical user sits at the exact center; additional
     terminals are uniform. ``n_busy_bs`` stations, picked by one
-    ``rng.choice`` (none when ``n_busy_bs`` is 0), are marked busy.
+    ``rng.choice`` (none when ``n_busy_bs`` is 0), are marked busy. That
+    ``choice`` is the last draw, so a call with ``n_busy_bs`` 0 leaves
+    ``rng`` where it would start: the block path places with ``n_busy_bs``
+    0 and decodes the busy sets from the following raw words
+    (:func:`decode_busy`), and this call is the reference it is pinned to.
 
     Only the draw happens here, and no :class:`Deployment` is built: the
     block kernels read the placement's arrays directly, and callers that
@@ -275,6 +279,69 @@ def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
         # single-BS placement
         busy[rng.choice(cfg.n_bs, size=cfg.n_busy_bs, replace=False)] = True
     return Placement(taken[len(mt_positions):], mt_positions, busy)
+
+
+def busy_decodable(n: int, m: int) -> bool:
+    """Whether :func:`decode_busy` reproduces ``rng.choice(n, m, replace=False)``.
+
+    ``choice`` runs Floyd's sampling unless ``n > 10_000`` and ``m > n // 50``,
+    where it shuffles the tail of ``arange(n)`` instead, which the decode
+    cannot reproduce. Its draws are Lemire's bounded 32-bit ones only while
+    every bound ``j + 1`` stays below ``2**32``.
+    """
+    return 1 <= m <= n and n - 1 < 2 ** 32 - 1 and not (n > 10_000 and m > n // 50)
+
+
+def decode_busy(words: np.ndarray, n: int, m: int):
+    """Floyd's sampling of ``m`` of ``n`` stations, decoded from raw Philox words.
+
+    Row ``r`` of ``words`` (a ``(rows, k)`` uint64 array) holds the words that
+    ``rng.choice(n, m, replace=False)`` would read from the generator's raw
+    stream, ``k = ceil((m - [m == n]) / 2)``: numpy's first step draws over
+    [0, 0] when ``m == n`` and reads no word. Each word gives its low 32
+    bits, then its high 32 bits, as Philox's ``next_uint32`` does. At step
+    ``j = n - m ... n - 1`` Lemire's draw is ``t = (u * (j + 1)) >> 32``, and
+    Floyd adds ``t`` unless it is already chosen, in which case it adds ``j``
+    (Bentley & Floyd, CACM 30(9), 1987; Lemire, ACM TOMACS 29(1), 2019).
+
+    Returns ``(chosen, flagged)``: the ``(rows, m)`` indices, in step order,
+    and a ``(rows,)`` bool flag. numpy draws again when a product's low half
+    is below ``2**32 % (j + 1)``; a row is flagged when some low half is at
+    most ``j``, a superset of those rejections, so every unflagged row holds
+    the set ``choice`` picks (not its final shuffle's order). Valid where
+    :func:`busy_decodable` holds.
+    """
+    rows = len(words)
+    skip = int(m == n)
+    # little-endian 32-bit halves: the low half of each word comes first on any host
+    u = np.ascontiguousarray(words, dtype="<u8").view("<u4")[:, :m - skip]
+    j = np.arange(n - m + skip, n, dtype=np.uint64)
+    product = u * (j + np.uint64(1))
+    flagged = (product.astype(np.uint32) <= j.astype(np.uint32)).any(axis=1)
+    drawn = np.zeros((rows, m), dtype=np.uint64)
+    drawn[:, skip:] = product >> np.uint64(32)
+    step = np.arange(m, dtype=np.uint64)
+    # a draw repeats an earlier one when it follows an equal draw in the order
+    # of (draw, step); that key stays below n * m < 2**64
+    keys = drawn * np.uint64(m) + step
+    keys.sort(axis=1)
+    ranked = keys // np.uint64(m)
+    at = (keys - ranked * np.uint64(m)).view(np.int64) + np.arange(0, rows * m, m)[:, None]
+    taken = np.zeros(rows * m, dtype=bool)      # flat: draw already chosen
+    taken[at[:, 1:]] = ranked[:, 1:] == ranked[:, :-1]
+    # a draw is also already chosen when it equals an earlier step's j whose
+    # own draw was: a rule that only looks back, so iterating it from the
+    # repeats reaches its fixpoint; a draw below n - m wraps above every step
+    earlier = drawn - np.uint64(n - m)
+    later = np.flatnonzero(earlier < step)
+    source = earlier.view(np.int64).ravel()[later] + (later - later % m)
+    while True:
+        grown = taken[later] | taken[source]
+        if np.array_equal(grown, taken[later]):
+            break
+        taken[later] = grown
+    chosen = np.where(taken.reshape(rows, m), step + np.uint64(n - m), drawn)
+    return chosen.view(np.int64), flagged
 
 
 def nearest_candidates(dep: Deployment, mt_index: int, k: int) -> list:

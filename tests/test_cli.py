@@ -336,6 +336,29 @@ def test_event_log_is_the_same_at_two_workers(tmp_path):
     assert logs[1] == logs[0]
 
 
+@pytest.mark.parametrize("same", ["twice", "relative", "linked"])
+def test_event_log_and_report_in_one_file_exit_2_before_any_trial(
+        tmp_path, monkeypatch, capsys, same):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(cli, "run_coverage", no_run)
+    report = tmp_path / "out.txt"
+    log = report
+    if same == "relative":
+        monkeypatch.chdir(tmp_path)
+        log = Path("out.txt")
+    elif same == "linked":
+        report.write_text("earlier report\n")
+        log = tmp_path / "link.txt"
+        os.link(report, log)
+    argv = ["coverage", "--n_trials", "20", "--event-log", str(log), "--output", str(report)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --event-log and --output name one file")
+    assert not report.exists() or report.read_text() == "earlier report\n"
+
+
 def test_placement_failure_reads_the_same_at_two_workers(monkeypatch, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     errors = []

@@ -149,6 +149,34 @@ class TestBlockKernels:
         want = np.array([mt_energy_trial(cfg, sizes, t) for t in range(start, stop)])
         assert mt_energy_block(cfg, sizes, start, stop).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"n_busy_bs": 50},                                  # m == n reads one word less
+        {"n_bs": 1, "n_busy_bs": 1, "n_candidates": 1, "max_group_size": 1},
+    ])
+    def test_flagged_rows_draw_their_busy_set_again(self, monkeypatch, overrides):
+        cfg = ScenarioConfig(seed=4, **overrides)
+        want = experiments.draw_block(cfg, "coverage", 5, 45)
+        decode = experiments.decode_busy
+
+        def flag_every_third_row(words, n, m):
+            # a flagged row's decoded set is never read, so spoil it
+            chosen, flagged = decode(words, n, m)
+            chosen[::3] = 0
+            flagged[::3] = True
+            return chosen, flagged
+
+        calls = []
+        place = experiments.generate_deployment
+        monkeypatch.setattr(experiments, "decode_busy", flag_every_third_row)
+        monkeypatch.setattr(experiments, "generate_deployment",
+                            lambda *args: calls.append(args) or place(*args))
+        got = experiments.draw_block(cfg, "coverage", 5, 45)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        # one placement per trial, and one more per flagged row
+        assert len(calls) == 40 + 14
+
     def test_block_edges(self, oracle):
         cfg, coverage, mt = oracle
         sizes = _mt_sizes(cfg)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cellless import (BsPowerState, ConfigError, Deployment,
                       PlacementFailure, RandomStream, ScenarioConfig, config_hash, config_lines,
                       generate_deployment, load_config, nearest_candidates, total_power_mw)
-from cellless.scenario import _label_key, _philox_key
+from cellless.scenario import _label_key, _philox_key, busy_decodable, decode_busy
 from conftest import drawn_deployment, make_deployment
 
 #: Every substream label the experiments and the validation suites draw from.
@@ -292,6 +292,17 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8 text")):
             load_config(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "n_bs = 40\nseed = 3\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(marked) == load_config(plain)
+        marked.write_bytes(b"\xef\xbb\xbfn_bs = 20\nseed = \xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8 text"):
+            load_config(marked)
+
     def test_key_repeated_in_file_names_both_lines(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("n_bs = 20\n# the same key again\nn_bs = 30\n")
@@ -544,6 +555,128 @@ class TestGenerateDeployment:
             counts = np.histogram(pos[:, axis], bins=10, range=(0.0, 50.0))[0]
             chi2 = float(np.sum((counts - expected) ** 2 / expected))
             assert chi2 < 33.72, (axis, chi2)
+
+
+# Philox4x64-10 from the round multipliers and key increments of Salmon et
+# al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK64 = 2 ** 64 - 1
+
+
+def _philox_block(counter, key):
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        p0, p1 = _PHILOX_M[0] * c0, _PHILOX_M[1] * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+    return [c0, c1, c2, c3]
+
+
+def _philox_words(stream, n):
+    """The first n raw words of ``stream.rng()``, in pure Python."""
+    key = [int(k) for k in _philox_key(stream.seed, stream.label)]
+    counter = [0, 0, stream.trial, 0]
+    words = []
+    while len(words) < n:
+        # numpy steps the 256-bit counter before each block of four words
+        for i in range(4):
+            counter[i] = (counter[i] + 1) & _MASK64
+            if counter[i]:
+                break
+        words += _philox_block(counter, key)
+    return words[:n]
+
+
+def _stream_note(what):
+    return (f"{what} differs from the recorded stream under numpy {np.__version__}: "
+            "NEP 19 fixes no Generator stream across numpy versions, so every "
+            "coverage and mt-energy golden byte may move with it")
+
+
+class TestNumpyStreams:
+    """Known answers for the numpy draws the emitted bytes depend on."""
+
+    STREAM = RandomStream(2016, "known-answer", 3)
+
+    def test_raw_words_are_philox4x64_10(self):
+        streams = (self.STREAM, RandomStream(0, "coverage/deploy", 0),
+                   # a label hashed at or above 2**63, and a wide trial
+                   RandomStream(2 ** 64 - 1, "coverage/fading", 2 ** 40 + 7))
+        for stream in streams:
+            got = stream.rng().bit_generator.random_raw(12).tolist()
+            assert got == _philox_words(stream, 12), _stream_note(f"random_raw on {stream}")
+        first = [0x1f93b7facff23a38, 0x9808cc0f416a6afb, 0x8c680ff07148ff7b]
+        assert _philox_words(self.STREAM, 3) == first
+
+    def test_distribution_draws(self):
+        rng = self.STREAM.rng
+        known = (
+            ("random", rng().random(3).tolist(),
+             [0.12334775803896825, 0.593884233211989, 0.5484628641145582]),
+            ("standard_exponential", rng().standard_exponential(3).tolist(),
+             [0.12639295182459193, 0.7628336018690854, 2.416136705611132]),
+            ("choice(50, 30, replace=False)", rng().choice(50, 30, replace=False).tolist(),
+             [5, 49, 17, 34, 14, 21, 20, 37, 13, 43, 33, 27, 48, 25, 2,
+              29, 38, 18, 11, 24, 40, 23, 3, 22, 45, 44, 32, 35, 47, 26]),
+        )
+        for name, got, want in known:
+            assert got == want, _stream_note(name)
+
+
+def _raw_and_choice(n, m, rows, seed=5):
+    """Per row: the raw words choice(n, m) reads, and the set it picks."""
+    k = (m - (m == n) + 1) // 2
+    words = np.empty((rows, k), dtype=np.uint64)
+    picked = []
+    for r in range(rows):
+        stream = RandomStream(seed, f"busy/{n}/{m}", r)
+        words[r] = stream.rng().bit_generator.random_raw(k)
+        picked.append(sorted(stream.rng().choice(n, m, replace=False).tolist()))
+    return words, picked
+
+
+class TestDecodeBusy:
+    @pytest.mark.parametrize("n, m", [
+        (50, 30), (50, 31), (50, 50), (50, 1), (2, 2), (1, 1), (7, 7),
+        (200, 150), (5_000, 2_500), (10_000, 9_000), (20_000, 300),
+    ])
+    def test_matches_choice(self, n, m):
+        assert busy_decodable(n, m)
+        words, picked = _raw_and_choice(n, m, rows=6)
+        chosen, flagged = decode_busy(words, n, m)
+        assert chosen.shape == (6, m) and not flagged.any()
+        assert [sorted(row) for row in chosen.tolist()] == picked
+
+    @pytest.mark.parametrize("n, m", [(10_001, 9_000), (20_000, 5_000)])
+    def test_tail_shuffle_is_refused(self, n, m):
+        # numpy shuffles the tail of arange(n) here, which the decode does not follow
+        assert not busy_decodable(n, m)
+        words, picked = _raw_and_choice(n, m, rows=3)
+        chosen = decode_busy(words, n, m)[0]
+        assert all(sorted(row) != want for row, want in zip(chosen.tolist(), picked))
+
+    def test_refused_outside_32_bit_draws_and_empty_sets(self):
+        assert busy_decodable(2 ** 32 - 1, 2) and not busy_decodable(2 ** 32, 2)
+        assert not busy_decodable(50, 0) and not busy_decodable(5, 6)
+
+    def test_every_rejection_is_flagged(self):
+        # at j + 1 = 2**31 + 1 about half the draws are rejected and redrawn
+        n, m = 2 ** 31 + 1, 2
+        words, picked = _raw_and_choice(n, m, rows=64)
+        chosen, flagged = decode_busy(words, n, m)
+        rejected = []
+        for (word,) in words.tolist():
+            halves = (word & 0xFFFFFFFF, word >> 32)
+            rejected.append(any((u * (j + 1)) % 2 ** 32 < 2 ** 32 % (j + 1)
+                                for u, j in zip(halves, range(n - m, n))))
+        assert 0 < sum(rejected) < 64 and not flagged.all()
+        for row, want, flag, rejects in zip(chosen.tolist(), picked, flagged, rejected):
+            assert flag or not rejects
+            if not flag:
+                assert sorted(row) == want
 
 
 class TestNearestCandidates:
