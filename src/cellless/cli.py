@@ -218,11 +218,18 @@ def _dispatch(args, cfg) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
-    if args.command != "bs-energy":
+    if args.command != "bs-energy" and "cellless.experiments" not in sys.modules:
         # every other command runs trials on the numpy engine: load it now,
         # so that its import is start-up and not part of the run; bs-energy
-        # is a closed form and never loads numpy
+        # is a closed form, loads neither numpy nor gc and has nothing to freeze
+        import gc
+
         from . import experiments  # noqa: F401
+        # what is alive now lives until exit: frozen, no later collection,
+        # forked trial child or interpreter shutdown walks it again; only the
+        # call that loads the engine freezes, as a freeze per call would keep
+        # each call's cyclic argparse graph for good
+        gc.freeze()
     try:
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")

@@ -250,9 +250,11 @@ def mt_energy_block(cfg: ScenarioConfig, group_sizes, start: int, stop: int) -> 
 
     The joint order is the nearest candidate, then the others strongest gain
     first; ``np.cumsum`` adds along each row in sequence, as the scalar
-    prefix sum does.
+    prefix sum does. No busy set is read, so the trials place with
+    ``n_busy_bs`` 0 and draw none: the busy draw is the last of the "deploy"
+    substream, so positions and fading stay the trial's own.
     """
-    dist, gains, _ = draw_block(cfg, "mt-energy", start, stop)
+    dist, gains, _ = draw_block(replace(cfg, n_busy_bs=0), "mt-energy", start, stop)
     candidates = np.argsort(dist, axis=1, kind="stable")[:, :cfg.n_candidates]
     order = np.concatenate([candidates[:, :1],
                             _ranked_by_gain(candidates[:, 1:], gains)], axis=1)

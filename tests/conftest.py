@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+# The engine is loaded before any test runs, as in a process that already
+# ran a trial command, so cli.main never freezes this process's heap; the
+# one test that unloads the engine undoes its freeze.
+import cellless.experiments  # noqa: F401
 from cellless import (BsPowerState, ChannelSample, Deployment, ScenarioConfig,
                       generate_deployment)
 

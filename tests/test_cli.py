@@ -1,4 +1,5 @@
 import argparse
+import gc
 import importlib
 import io
 import json
@@ -476,16 +477,37 @@ def test_import_loads_no_numpy(module):
     (["validate", "--help"], 0),
 ])
 def test_commands_that_run_no_trial_load_no_numpy(argv, code):
-    # the command's own output is dropped; its exit code is printed
-    run = ("import contextlib, io, cellless.cli as cli\n"
+    # the command's own output is dropped; its exit code and the number of
+    # objects it froze are printed
+    run = ("import contextlib, gc, io, cellless.cli as cli\n"
            "with contextlib.redirect_stdout(io.StringIO()), "
            "contextlib.redirect_stderr(io.StringIO()):\n"
            "    try:\n"
            f"        code = cli.main({argv!r})\n"
            "    except SystemExit as exc:\n"
            "        code = exc.code\n"
-           "print(code)")
-    assert _numpy_loaded_after(run) == [str(code), "False"]
+           "print(code, gc.get_freeze_count())")
+    assert _numpy_loaded_after(run) == [str(code), "0", "False"]
+
+
+@pytest.mark.parametrize("command", ["coverage", "mt-energy"])
+def test_trial_commands_freeze_their_start_up_once(tmp_path, command):
+    # a fresh process, with forked trial children: the first trial command
+    # freezes what its start-up loaded, a second one freezes nothing more,
+    # and the collector stays on
+    out = tmp_path / "out.csv"
+    argv = GOLDEN_ARGS[command] + ["--workers", "2", "--output", str(out)]
+    run = ("import contextlib, gc, io, cellless.cli as cli\n"
+           "with contextlib.redirect_stderr(io.StringIO()):\n"
+           f"    assert cli.main({argv!r}) == 0\n"
+           "    first = gc.get_freeze_count()\n"
+           f"    assert cli.main({argv!r}) == 0\n"
+           "    second = gc.get_freeze_count()\n"
+           "print(first, second, gc.isenabled())")
+    first, second, enabled, numpy_loaded = _numpy_loaded_after(run)
+    assert int(first) > 0 and second == first
+    assert (enabled, numpy_loaded) == ("True", "True")
+    assert out.read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["coverage", "mt-energy"])
@@ -504,5 +526,12 @@ def test_trial_commands_load_the_engine_before_the_config(tmp_path, monkeypatch,
         return load_config(*args, **kwargs)
 
     monkeypatch.setattr(cli, "load_config", watched)
-    assert cli.main([command, "--n_trials", "2", "--output", str(tmp_path / "out.csv")]) == 0
+    # loading the engine freezes this process's heap; later tests get the
+    # collector back as it was
+    frozen = gc.get_freeze_count()
+    try:
+        assert cli.main([command, "--n_trials", "2", "--output", str(tmp_path / "out.csv")]) == 0
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
     assert loaded == [True]

@@ -177,6 +177,17 @@ class TestBlockKernels:
         # one placement per trial, and one more per flagged row
         assert len(calls) == 40 + 14
 
+    def test_mt_energy_decodes_no_busy_set(self, monkeypatch):
+        # the terminal saving never reads a busy set, so none is drawn
+        def refuse(*args):
+            raise AssertionError("a busy set was decoded")
+
+        monkeypatch.setattr(experiments, "decode_busy", refuse)
+        cfg = ScenarioConfig(seed=4)
+        sizes = _mt_sizes(cfg)
+        want = np.array([mt_energy_trial(cfg, sizes, t) for t in range(5, 45)])
+        assert mt_energy_block(cfg, sizes, 5, 45).tobytes() == want.tobytes()
+
     def test_block_edges(self, oracle):
         cfg, coverage, mt = oracle
         sizes = _mt_sizes(cfg)
