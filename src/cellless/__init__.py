@@ -12,14 +12,15 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Each public name and the module that defines it. A name is imported on
 # first access (PEP 562), so `import cellless` loads no numpy; a name from
-# channel or scenario loads it. The controller, the scalar references, the
-# oracles and the validation suites are not listed: import them from
-# cellless.controller and cellless.validation.
+# scenario or controller loads it. The controller's decisions, the scalar
+# references, the oracles and the validation suites are not listed: import
+# them from cellless.controller and cellless.validation.
 _EXPORTS = {
-    **dict.fromkeys(("ChannelSample", "downlink_sinr", "path_loss", "sample_channel",
-                     "spectral_efficiency", "uplink_joint_snr"), "channel"),
     **dict.fromkeys(("BsPowerState", "ScenarioConfig", "config_lines", "load_config"),
                     "config"),
+    **dict.fromkeys(("ChannelSample", "Deployment", "downlink_sinr", "nearest_candidates",
+                     "sample_channel", "spectral_efficiency", "total_power_mw",
+                     "uplink_joint_snr"), "controller"),
     **dict.fromkeys(("BsEnergyCurve", "CoverageCurve", "MtEnergyCurve", "bs_energy_ledger",
                      "run_bs_energy", "run_coverage", "run_mt_energy"), "curves"),
     **dict.fromkeys(("BusyBs", "CelllessError", "ConfigError", "DomainError", "EmptyGroup",
@@ -27,8 +28,8 @@ _EXPORTS = {
                      "PlacementFailure"), "errors"),
     **dict.fromkeys(("ExperimentReport", "config_hash", "emit_csv", "emit_json", "parse_csv",
                      "render_csv", "summarize", "to_dict"), "report"),
-    **dict.fromkeys(("Deployment", "Placement", "RandomStream", "generate_deployment",
-                     "nearest_candidates", "total_power_mw"), "scenario"),
+    **dict.fromkeys(("Placement", "RandomStream", "generate_deployment", "path_loss"),
+                    "scenario"),
 }
 
 __all__ = sorted(_EXPORTS)

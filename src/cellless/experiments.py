@@ -14,13 +14,13 @@ chunk, at most one process per CPU in all (see :func:`_scan_trials`).
 
 Trials run in blocks of ``BLOCK_TRIALS``: each trial draws its placement
 and fading from its own substreams, and everything after the draws is
-computed once per block on stacked ``(trials, n_bs)`` arrays. The block
-path reads each placement's arrays and builds no :class:`Deployment`, and
-it needs no controller: the greedy group with an infinite demand is the
-strongest candidates up to the size cap, a sort. The readable scalar
-references these kernels are checked against, the exhaustive oracles and
-the ``validate`` suites live in :mod:`cellless.validation`, which this
-module does not import.
+computed once per block on stacked ``(trials, n_bs)`` arrays. With
+:mod:`cellless.scenario` (placement, substreams and path loss) this module
+is the engine. The block path reads each placement's arrays and needs no
+scalar network model (:mod:`cellless.controller`): the greedy group with an
+infinite demand is the strongest candidates up to the size cap, a sort. The
+references it is checked against, the oracles and the ``validate`` suites
+live in :mod:`cellless.validation`; the engine imports neither module.
 """
 
 import math
@@ -32,9 +32,9 @@ from functools import partial
 
 import numpy as np
 
-from .channel import check_gains, path_loss
 from .config import ScenarioConfig
-from .scenario import RandomStream, busy_decodable, decode_busy, generate_deployment
+from .scenario import (RandomStream, busy_decodable, check_gains, decode_busy,
+                       generate_deployment, path_loss)
 
 # Trials stacked per block, so the stacked arrays do not grow with the chunk.
 # Stacking a whole 1 500-trial chunk raised a coverage run's peak RSS from
@@ -132,10 +132,10 @@ def draw_block(cfg: ScenarioConfig, label: str, start: int, stop: int):
 
     Each trial makes the draws :func:`validation.draw_instance` makes, from the same
     "deploy" and "fading" substreams of ``label`` in the same order, so each
-    row is bit-identical to that trial's deployment and channel: ``busy``
-    is the transferring mask of its :class:`Deployment`. Only the
-    placement's positions and busy mask are copied into the block; no
-    ``Deployment`` is built. Returns ``(dist, gains, busy)``, each of shape
+    row is bit-identical to that trial's deployment and channel sample:
+    ``busy`` is the transferring mask of its :class:`controller.Deployment`.
+    Only the placement's positions and busy mask are copied into the block;
+    no ``Deployment`` is built. Returns ``(dist, gains, busy)``, each of shape
     ``(stop - start, n_bs)``.
 
     Where :func:`busy_decodable` holds, each trial places its stations with

@@ -1,4 +1,4 @@
-"""Random deployments and reproducible randomness.
+"""Random deployments, their path loss, and reproducible randomness.
 
 The config they draw from lives in :mod:`cellless.config`. All randomness
 flows through :class:`RandomStream` substreams keyed by (seed, label,
@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import BsPowerState, ScenarioConfig
-from .errors import PlacementFailure
+from .config import ScenarioConfig
+from .errors import DomainError, PlacementFailure
 
 
 def _label_key(label: str) -> int:
@@ -90,106 +90,20 @@ class RandomStream:
             yield gen
 
 
-def _readonly_copy(values, dtype) -> np.ndarray:
-    """A read-only copy of ``values``; an array the caller passed stays writable."""
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
-def _integers(values, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    # a fraction lands here as a float array
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ValueError(f"{name} must hold integers, not {arr.dtype}")
-    return arr
-
-
 class Placement(NamedTuple):
     """One random draw of :func:`generate_deployment`: geometry and busy set only.
 
     The arrays are fresh and unchecked. A kernel that needs no controller
-    state reads them as they are; :meth:`Deployment.from_placement` turns
-    them into the at-rest state. A named tuple, not a frozen dataclass: one
-    is built per trial, and it builds in half the time (0.7 against 1.4 µs),
-    while defining the class costs 0.15 ms of start-up, not 1.2 ms (Python
-    3.11, ``timeit``).
+    state reads them as they are; :meth:`controller.Deployment.from_placement`
+    turns them into the at-rest state. A named tuple, not a frozen dataclass:
+    one is built per trial, and it builds in half the time (0.7 against 1.4
+    µs), while defining the class costs 0.15 ms of start-up, not 1.2 ms
+    (Python 3.11, ``timeit``).
     """
 
     bs_positions: np.ndarray        # (n_bs, 2) meters
     mt_positions: np.ndarray        # (n_mt, 2) meters, typical user at row 0
     busy: np.ndarray                # (n_bs,) bool, stations serving other users
-
-
-@dataclass(frozen=True)
-class Deployment:
-    """Immutable snapshot of geometry, BS power states, and serving load.
-
-    Every field is a read-only array copied from what the constructor was
-    given, and every construction runs the full check below. ``bs_states``
-    holds one int8 ``BsPowerState`` code per BS (``BsPowerState(code)``
-    decodes it), ``bs_load`` counts the terminals each BS serves, and
-    ``transferring_mask`` marks the BSs whose code is transferring. A random
-    deployment starts as a :class:`Placement`; :meth:`from_placement` builds
-    its state, and the controller derives every later state from that.
-    """
-
-    bs_positions: np.ndarray        # (n_bs, 2) meters
-    mt_positions: np.ndarray        # (n_mt, 2) meters, typical user at row 0
-    bs_states: np.ndarray           # (n_bs,) int8 BsPowerState codes
-    bs_load: np.ndarray             # (n_bs,) terminals currently served
-
-    def __post_init__(self):
-        bs_pos = _readonly_copy(self.bs_positions, float)
-        codes = _integers(self.bs_states, "bs_states")
-        load = _readonly_copy(_integers(self.bs_load, "bs_load"), np.int64)
-        if codes.shape != (len(bs_pos),) or load.shape != (len(bs_pos),):
-            raise ValueError("per-BS fields must have one entry per base station")
-        states = _readonly_copy(codes, np.int8)
-        # a negative code reads as 128 or more through uint8, and a wide code
-        # that the int8 copy wrapped no longer equals its copy
-        if (np.count_nonzero(states.view(np.uint8) >= len(BsPowerState))
-                or (codes.dtype != np.int8 and np.count_nonzero(states != codes))):
-            raise ValueError(f"state codes must lie in [0, {len(BsPowerState)})")
-        loaded = load > 0
-        if np.count_nonzero(loaded) != np.count_nonzero(load):    # a load below 0
-            raise ValueError("a BS load must be non-negative")
-        mask = states == BsPowerState.TRANSFERRING.value
-        if np.count_nonzero(mask < loaded):     # loaded, not transferring
-            raise ValueError("a loaded BS must be in the transferring state")
-        mask.setflags(write=False)
-        object.__setattr__(self, "bs_positions", bs_pos)
-        object.__setattr__(self, "mt_positions", _readonly_copy(self.mt_positions, float))
-        object.__setattr__(self, "bs_states", states)
-        object.__setattr__(self, "bs_load", load)
-        object.__setattr__(self, "transferring_mask", mask)
-
-    @classmethod
-    def from_placement(cls, placement: Placement) -> "Deployment":
-        """The at-rest state of a drawn placement.
-
-        Each busy station transfers with one served terminal (a pure
-        interferer); every other station is ready with no load.
-        """
-        busy = placement.busy
-        # numpy gets .value, never a member: np.full(50, member) took 5.2 µs, not 1.9 (numpy 2.4)
-        states = np.full(len(busy), BsPowerState.READY.value, dtype=np.int8)
-        states[busy] = BsPowerState.TRANSFERRING.value
-        return cls(placement.bs_positions, placement.mt_positions, states,
-                   busy.astype(np.int64))
-
-    @property
-    def n_bs(self) -> int:
-        return len(self.bs_states)
-
-    @property
-    def n_mt(self) -> int:
-        return len(self.mt_positions)
-
-    def bs_distances(self, mt_index: int) -> np.ndarray:
-        """Euclidean distance from every BS to one terminal."""
-        delta = self.bs_positions - self.mt_positions[mt_index]
-        return np.hypot(delta[:, 0], delta[:, 1])
 
 
 def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
@@ -221,9 +135,9 @@ def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator,
     0 and decodes the busy sets from the following raw words
     (:func:`decode_busy`), and this call is the reference it is pinned to.
 
-    Only the draw happens here, and no :class:`Deployment` is built: the
-    block kernels read the placement's arrays directly, and callers that
-    need controller state pass it to :meth:`Deployment.from_placement`.
+    Only the draw happens here, and no :class:`controller.Deployment` is
+    built: the block kernels read the placement's arrays directly, and
+    callers that need controller state pass it to its ``from_placement``.
     """
     area = cfg.area_side_m
     center = np.array([[area / 2.0, area / 2.0]])
@@ -344,22 +258,22 @@ def decode_busy(words: np.ndarray, n: int, m: int):
     return chosen.view(np.int64), flagged
 
 
-def nearest_candidates(dep: Deployment, mt_index: int, k: int) -> list:
-    """The k BSs closest to a terminal, nearest first.
+def check_gains(gains: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every gain is positive and finite."""
+    if not np.all(np.isfinite(gains)) or np.any(gains <= 0.0):
+        raise ValueError("gains must be positive and finite")
 
-    Distance ties break toward the lower BS index, so orderings are
-    reproducible and prefix-stable in k.
+
+def path_loss(distance_m, cfg: ScenarioConfig):
+    """Unitless gain (d / d_ref)^-alpha, clamped to 1 inside d_ref.
+
+    Accepts scalars or arrays. Distances below the placement exclusion
+    radius are rejected; they would make gains blow up.
     """
-    if not 0 <= k <= dep.n_bs:
-        raise ValueError("k must lie in [0, n_bs]")
-    order = np.argsort(dep.bs_distances(mt_index), kind="stable")
-    return [int(b) for b in order[:k]]
-
-
-def total_power_mw(dep: Deployment, cfg: ScenarioConfig) -> float:
-    """Power drawn by the whole deployment in its current states.
-
-    The per-BS powers are added one at a time in BS order by Python's
-    ``sum``; the last digits of the bs-energy ledger check depend on that order.
-    """
-    return float(sum(cfg.state_power_mw[code] for code in dep.bs_states.tolist()))
+    d = np.asarray(distance_m, dtype=float)
+    if np.any(d < cfg.min_distance_m):
+        raise DomainError(
+            f"distance below the {cfg.min_distance_m} m exclusion radius")
+    gain = (np.maximum(d, cfg.reference_distance_m)
+            / cfg.reference_distance_m) ** -cfg.path_loss_exponent
+    return float(gain) if gain.ndim == 0 else gain

@@ -454,6 +454,27 @@ def test_curve_commands_load_neither_controller_nor_validation():
     assert all(": PASS (" in row for row in rows)
 
 
+def test_engine_import_loads_only_the_engine():
+    # the scalar network model and its references stay out of the engine
+    env = dict(os.environ, PYTHONPATH=str(Path(cellless.__file__).parents[1]))
+    code = ("import sys, cellless.experiments; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cellless'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == str(["cellless", "cellless.config", "cellless.errors",
+                       "cellless.experiments", "cellless.scenario"]) + "\n"
+
+
+def test_every_export_resolves_to_the_module_the_table_names():
+    env = dict(os.environ, PYTHONPATH=str(Path(cellless.__file__).parents[1]))
+    code = ("import cellless; "
+            "print(sorted(n for n in cellless.__all__ if getattr(cellless, n).__module__ "
+            "!= 'cellless.' + cellless._EXPORTS[n]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 def _numpy_loaded_after(code):
     """What a fresh interpreter that runs ``code`` prints, then whether it loaded numpy."""
     env = dict(os.environ, PYTHONPATH=str(Path(cellless.__file__).parents[1]))

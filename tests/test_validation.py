@@ -141,6 +141,16 @@ def test_validation_suites_pass(cfg):
     assert all(passed for _, passed, _ in rows)
 
 
+def test_validation_runs_sweeps_that_fit_a_small_config():
+    # the default bs-energy sweep needs 50 BSs and the default mt-energy sweep
+    # 5 candidates; validate checks this config with sweeps that fit it
+    small = ScenarioConfig(n_bs=12, n_busy_bs=4, n_candidates=3, max_group_size=2,
+                           n_trials=20)
+    rows = run_validation(small, n_instances=20)
+    assert len(rows) == 5 and all(passed for _, passed, _ in rows), rows
+    assert "of 1 user, group sizes 1..4, 0..8 sleepers" in rows[3][2]
+
+
 @pytest.mark.parametrize("exponent", [2.0, 8.0, 20.0, 40.0, 150.0])
 def test_oracles_hold_at_extreme_path_loss(exponent):
     cfg = ScenarioConfig(path_loss_exponent=exponent)
