@@ -12,15 +12,17 @@ bit-identical for any worker count. With several workers the calling
 process runs the first chunk of trials and forks one child per other
 chunk, at most one process per CPU in all (see :func:`_scan_trials`).
 
-Trials run in blocks of ``BLOCK_TRIALS``: each trial draws its placement
-and fading from its own substreams, and everything after the draws is
-computed once per block on stacked ``(trials, n_bs)`` arrays. With
-:mod:`cellless.scenario` (placement, substreams and path loss) this module
-is the engine. The block path reads each placement's arrays and needs no
-scalar network model (:mod:`cellless.controller`): the greedy group with an
-infinite demand is the strongest candidates up to the size cap, a sort. The
-references it is checked against, the oracles and the ``validate`` suites
-live in :mod:`cellless.validation`; the engine imports neither module.
+Trials run in blocks of ``BLOCK_TRIALS``: each trial draws its placement,
+the raw words of its busy set and its fading from its own substreams, and
+everything after the draws, the busy sets included
+(:func:`scenario.busy_mask`), is computed once per block on stacked
+``(trials, n_bs)`` arrays. With :mod:`cellless.scenario` (placement,
+substreams, busy sets and path loss) this module is the engine. The block
+path reads each placement's arrays and needs no scalar network model
+(:mod:`cellless.controller`): the greedy group with an infinite demand is
+the strongest candidates up to the size cap, a sort. The references it is
+checked against, the oracles and the ``validate`` suites live in
+:mod:`cellless.validation`; the engine imports neither module.
 """
 
 import math
@@ -33,8 +35,8 @@ from functools import partial
 import numpy as np
 
 from .config import ScenarioConfig
-from .scenario import (RandomStream, busy_decodable, check_gains, decode_busy,
-                       generate_deployment, path_loss)
+from .scenario import (RandomStream, busy_mask, check_gains, generate_deployment,
+                       path_loss)
 
 # Trials stacked per block, so the stacked arrays do not grow with the chunk.
 # Stacking a whole 1 500-trial chunk raised a coverage run's peak RSS from
@@ -134,44 +136,34 @@ def draw_block(cfg: ScenarioConfig, label: str, start: int, stop: int):
     "deploy" and "fading" substreams of ``label`` in the same order, so each
     row is bit-identical to that trial's deployment and channel sample:
     ``busy`` is the transferring mask of its :class:`controller.Deployment`.
-    Only the placement's positions and busy mask are copied into the block;
-    no ``Deployment`` is built. Returns ``(dist, gains, busy)``, each of shape
+    Only the placement's positions are copied into the block; no
+    ``Deployment`` is built. Returns ``(dist, gains, busy)``, each of shape
     ``(stop - start, n_bs)``.
 
-    Where :func:`busy_decodable` holds, each trial places its stations with
-    ``n_busy_bs`` 0, which leaves its generator where ``choice`` would
-    start, and keeps the raw words that ``choice`` would read; one
-    :func:`decode_busy` pass then picks the whole block's busy sets. A row
-    the decode flags takes its busy set from the trial's own
-    :func:`generate_deployment`, and so does every row of any other config.
+    Each trial places its stations with ``n_busy_bs`` 0, which leaves its
+    generator where the busy draw starts, and keeps the ``n_bs`` raw words
+    that :func:`generate_deployment` would read there; one
+    :func:`busy_mask` call then picks the whole block's busy sets. With
+    ``n_busy_bs`` 0 no word is read and no station is busy.
     """
     trials = range(start, stop)
     base = RandomStream(cfg.seed, label)
-    deploy_stream = base.child("deploy")
-    deploy = deploy_stream.rngs(trials)
+    deploy = base.child("deploy").rngs(trials)
     fading = base.child("fading").rngs(trials)
     n_bs, n_busy = cfg.n_bs, cfg.n_busy_bs
-    decode = busy_decodable(n_bs, n_busy)
-    # m == n draws its first step over [0, 0] from no word
-    n_words = (n_busy - (n_busy == n_bs) + 1) // 2 if decode else 0
-    placing = replace(cfg, n_busy_bs=0) if decode else cfg
+    placing = replace(cfg, n_busy_bs=0)
     positions = np.empty((len(trials), n_bs, 2))
-    busy = np.zeros((len(trials), n_bs), dtype=bool)
-    words = np.empty((len(trials), n_words), dtype=np.uint64)
+    words = np.empty((len(trials), n_bs if n_busy else 0), dtype=np.uint64)
     fade = np.empty((len(trials), n_bs))
     for i, (deploy_rng, fading_rng) in enumerate(zip(deploy, fading)):
-        placed = generate_deployment(placing, deploy_rng)
-        positions[i] = placed.bs_positions
-        if decode:
-            words[i] = deploy_rng.bit_generator.random_raw(n_words)
-        else:
-            busy[i] = placed.busy
+        positions[i] = generate_deployment(placing, deploy_rng).bs_positions
+        if n_busy:
+            words[i] = deploy_rng.bit_generator.random_raw(n_bs)
         fading_rng.standard_exponential(out=fade[i])
-    if decode:
-        chosen, flagged = decode_busy(words, n_bs, n_busy)
-        np.put_along_axis(busy, chosen, True, axis=1)
-        for i in np.flatnonzero(flagged).tolist():
-            busy[i] = generate_deployment(cfg, deploy_stream.for_trial(start + i).rng()).busy
+    if n_busy:
+        busy = busy_mask(words, n_busy)
+    else:
+        busy = np.zeros((len(trials), n_bs), dtype=bool)
     # the typical user sits at the center, as generate_deployment puts it
     center = cfg.area_side_m / 2.0
     dist = np.hypot(positions[..., 0] - center, positions[..., 1] - center)

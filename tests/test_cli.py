@@ -19,18 +19,39 @@ from cellless import (ExperimentReport, IoFailure, MtEnergyCurve, ScenarioConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Each golden file is the report of one small run; the coverage and
-# mt-energy CSVs were written before bs-energy became a closed form, and the
-# JSON files before the report writers were merged. One declared change has
-# moved a golden byte since: bs-energy.json gained its "n_users" line when
-# the CSV and the JSON came to be written from one table. No other byte may
-# move. README's "Tests and benchmark" section lists the command that
-# rebuilds each file.
+# Each golden file is the report of one small run; the mt-energy CSV was
+# written before bs-energy became a closed form, and the JSON files before
+# the report writers were merged. Two declared changes have moved golden
+# bytes since: bs-energy.json gained its "n_users" line when the CSV and the
+# JSON came to be written from one table, and both coverage files moved when
+# the busy stations came to be the smallest raw words (scenario.busy_mask).
+# No other byte may move. README's "Tests and benchmark" section lists the
+# command that rebuilds each file, and a failed comparison names it.
 GOLDEN_ARGS = {
     "coverage": ["coverage", "--n_trials", "40", "--seed", "3"],
     "mt-energy": ["mt-energy", "--n_trials", "40", "--seed", "3"],
     "bs-energy": ["bs-energy", "--n_trials", "200", "--seed", "3"],
 }
+
+
+def _rebuild_command(command, fmt):
+    """README's command that rebuilds the golden ``fmt`` report of ``command``."""
+    flags = " ".join(GOLDEN_ARGS[command] + (["--format", "json"] if fmt == "json" else []))
+    return (f"PYTHONPATH=src python -m cellless.cli {flags} "
+            f"--output tests/golden/{command}.{fmt}")
+
+
+def _assert_golden(out, command, fmt):
+    assert out.read_bytes() == (GOLDEN / f"{command}.{fmt}").read_bytes(), (
+        f"the report differs from tests/golden/{command}.{fmt}; a change that "
+        f"declares this byte change rebuilds it with: {_rebuild_command(command, fmt)}")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
+def test_readme_lists_the_golden_rebuild_commands(command, fmt):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    assert _rebuild_command(command, fmt) in readme.splitlines()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -39,7 +60,7 @@ def test_report_matches_golden_bytes(tmp_path, capsys, command, workers):
     out = tmp_path / "out.csv"
     argv = GOLDEN_ARGS[command] + ["--workers", workers, "--output", str(out)]
     assert cli.main(argv) == 0
-    assert out.read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()
+    _assert_golden(out, command, "csv")
     assert "FAIL" not in capsys.readouterr().err
 
 
@@ -47,7 +68,7 @@ def test_report_matches_golden_bytes(tmp_path, capsys, command, workers):
 def test_json_report_matches_golden_bytes(tmp_path, command):
     out = tmp_path / "out.json"
     assert cli.main(GOLDEN_ARGS[command] + ["--format", "json", "--output", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{command}.json").read_bytes()
+    _assert_golden(out, command, "json")
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
@@ -528,7 +549,7 @@ def test_trial_commands_freeze_their_start_up_once(tmp_path, command):
     first, second, enabled, numpy_loaded = _numpy_loaded_after(run)
     assert int(first) > 0 and second == first
     assert (enabled, numpy_loaded) == ("True", "True")
-    assert out.read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()
+    _assert_golden(out, command, "csv")
 
 
 @pytest.mark.parametrize("command", ["coverage", "mt-energy"])

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import time
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from cellless import (BsEnergyCurve, BsPowerState, ChannelSample, ConfigError,
                       CoverageCurve, Deployment, InfeasibleConfig, MtEnergyCurve,
                       PlacementFailure, RandomStream, ScenarioConfig, bs_energy_ledger,
-                      curves, experiments, nearest_candidates, run_bs_energy, run_coverage,
-                      run_mt_energy)
+                      curves, experiments, generate_deployment, nearest_candidates,
+                      run_bs_energy, run_coverage, run_mt_energy, scenario)
 from cellless.controller import form_group
 from cellless.curves import DEFAULT_THRESHOLDS_DB, binomial_ci95
 from cellless.experiments import coverage_block, mean_ci95, mt_energy_block
@@ -151,42 +152,45 @@ class TestBlockKernels:
 
     @pytest.mark.parametrize("overrides", [
         {},
-        {"n_busy_bs": 50},                                  # m == n reads one word less
+        {"n_busy_bs": 50},                                  # every station busy
         {"n_bs": 1, "n_busy_bs": 1, "n_candidates": 1, "max_group_size": 1},
     ])
-    def test_flagged_rows_draw_their_busy_set_again(self, monkeypatch, overrides):
+    def test_block_busy_masks_match_per_trial_placements(self, overrides):
+        # the block applies busy_mask once to every trial's words; each row
+        # must be the mask that the trial's own placement draws
         cfg = ScenarioConfig(seed=4, **overrides)
-        want = experiments.draw_block(cfg, "coverage", 5, 45)
-        decode = experiments.decode_busy
+        busy = experiments.draw_block(cfg, "coverage", 5, 45)[2]
+        deploy = RandomStream(cfg.seed, "coverage").child("deploy")
+        want = [generate_deployment(cfg, rng).busy for rng in deploy.rngs(range(5, 45))]
+        assert busy.dtype == bool and busy.tobytes() == np.array(want).tobytes()
+        assert np.all(busy.sum(axis=1) == cfg.n_busy_bs)
 
-        def flag_every_third_row(words, n, m):
-            # a flagged row's decoded set is never read, so spoil it
-            chosen, flagged = decode(words, n, m)
-            chosen[::3] = 0
-            flagged[::3] = True
-            return chosen, flagged
-
-        calls = []
-        place = experiments.generate_deployment
-        monkeypatch.setattr(experiments, "decode_busy", flag_every_third_row)
-        monkeypatch.setattr(experiments, "generate_deployment",
-                            lambda *args: calls.append(args) or place(*args))
-        got = experiments.draw_block(cfg, "coverage", 5, 45)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-        # one placement per trial, and one more per flagged row
-        assert len(calls) == 40 + 14
-
-    def test_mt_energy_decodes_no_busy_set(self, monkeypatch):
+    def test_mt_energy_draws_no_busy_set(self, monkeypatch):
         # the terminal saving never reads a busy set, so none is drawn
         def refuse(*args):
-            raise AssertionError("a busy set was decoded")
+            raise AssertionError("a busy set was drawn")
 
-        monkeypatch.setattr(experiments, "decode_busy", refuse)
         cfg = ScenarioConfig(seed=4)
         sizes = _mt_sizes(cfg)
         want = np.array([mt_energy_trial(cfg, sizes, t) for t in range(5, 45)])
+        monkeypatch.setattr(experiments, "busy_mask", refuse)
+        monkeypatch.setattr(scenario, "busy_mask", refuse)
         assert mt_energy_block(cfg, sizes, 5, 45).tobytes() == want.tobytes()
+
+    def test_coverage_block_peak_allocation(self, cfg):
+        # one default block holds its draws, one (trials, n_bs) index array
+        # for the busy sets and the kernel's sorts; per-block temporaries
+        # beyond those push the traced peak over the bound
+        coverage_block(cfg, 0, experiments.BLOCK_TRIALS)
+        tracemalloc.start()
+        try:
+            coverage_block(cfg, 0, experiments.BLOCK_TRIALS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 800_000, (
+            f"a {experiments.BLOCK_TRIALS}-trial coverage block peaked at {peak} bytes: "
+            "the kernel allocates more per block than its draws and sorts need")
 
     def test_block_edges(self, oracle):
         cfg, coverage, mt = oracle

@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from cellless import (BsPowerState, ConfigError, Deployment,
                       PlacementFailure, RandomStream, ScenarioConfig, config_hash, config_lines,
                       generate_deployment, load_config, nearest_candidates, total_power_mw)
-from cellless.scenario import _label_key, _philox_key, busy_decodable, decode_busy
+from cellless import scenario
+from cellless.scenario import _label_key, _philox_key, busy_mask
 from conftest import drawn_deployment, make_deployment
 
 #: Every substream label the experiments and the validation suites draw from.
@@ -24,14 +27,20 @@ CODE_LABELS = tuple(
     for part in parts)
 
 
+def _oracle_busy(words, m):
+    """The m stations of the smallest words, ties to the lower index, as a set."""
+    return set(sorted(range(len(words)), key=lambda b: (words[b], b))[:m])
+
+
 def _reference_deployment(cfg, stream, n_mt=1, rng=None):
     """Sequential placement oracle: one proposal at a time, in draw order.
 
     Draws exactly what `generate_deployment` draws, from ``rng`` or else a
     fresh generator of ``stream``, and thins each proposal against every
-    terminal and every BS accepted before it, in scalar arithmetic. Returns
-    the reference ``Deployment``, its states and loads set one busy station
-    at a time, and the busy stations as a set.
+    terminal and every BS accepted before it, in scalar arithmetic. The busy
+    set is `_oracle_busy` of the raw words after placement. Returns the
+    reference ``Deployment``, its states and loads set one busy station at a
+    time, and the busy stations as a set.
     """
     if rng is None:
         rng = stream.rng()
@@ -59,7 +68,9 @@ def _reference_deployment(cfg, stream, n_mt=1, rng=None):
                 acc.append((x, y))
     states = [BsPowerState.READY] * cfg.n_bs
     loads = [0] * cfg.n_bs
-    busy = {int(b) for b in rng.choice(cfg.n_bs, size=cfg.n_busy_bs, replace=False)}
+    # no station is busy, and no word is read, when n_busy_bs is 0
+    words = rng.bit_generator.random_raw(cfg.n_bs if cfg.n_busy_bs else 0)
+    busy = _oracle_busy(words.tolist(), cfg.n_busy_bs)
     for b in busy:
         states[b] = BsPowerState.TRANSFERRING
         loads[b] = 1
@@ -521,16 +532,29 @@ class TestGenerateDeployment:
             assert _placed_as_reference(cfg, stream.for_trial(t), n_mt) is not None
 
     @pytest.mark.parametrize("n_bs", [1, 50])
-    def test_no_busy_station_leaves_the_generator_where_the_reference_does(self, n_bs):
-        # the empty busy draw is skipped; the reference still makes it
+    def test_no_busy_station_leaves_the_generator_where_the_reference_does(
+            self, monkeypatch, n_bs):
+        # with no busy station neither the placement nor the reference reads
+        # a busy word, and the words a busy draw would read come next
+        def refuse(*args):
+            raise AssertionError("a busy set was drawn")
+
         cfg = ScenarioConfig(n_bs=n_bs, n_busy_bs=0, n_candidates=1, max_group_size=1)
+        full = replace(cfg, n_busy_bs=n_bs)
         stream = RandomStream(8, "no-busy")
         for t in range(3):
             ref_rng = stream.for_trial(t).rng()
             _reference_deployment(cfg, stream.for_trial(t), rng=ref_rng)
             rng = stream.for_trial(t).rng()
-            assert not generate_deployment(cfg, rng).busy.any()
+            with monkeypatch.context() as patch:
+                patch.setattr(scenario, "busy_mask", refuse)
+                assert not generate_deployment(cfg, rng).busy.any()
             assert rng.random(9).tobytes() == ref_rng.random(9).tobytes()
+            rng = stream.for_trial(t).rng()
+            generate_deployment(cfg, rng)
+            words = rng.bit_generator.random_raw(n_bs)
+            busy = generate_deployment(full, stream.for_trial(t).rng()).busy
+            assert busy.tobytes() == busy_mask(words, n_bs).tobytes()
 
     def test_single_bs_draws_are_uniform(self):
         cfg = ScenarioConfig(n_bs=1, n_busy_bs=0, n_candidates=1, max_group_size=1)
@@ -618,65 +642,50 @@ class TestNumpyStreams:
              [0.12334775803896825, 0.593884233211989, 0.5484628641145582]),
             ("standard_exponential", rng().standard_exponential(3).tolist(),
              [0.12639295182459193, 0.7628336018690854, 2.416136705611132]),
-            ("choice(50, 30, replace=False)", rng().choice(50, 30, replace=False).tolist(),
-             [5, 49, 17, 34, 14, 21, 20, 37, 13, 43, 33, 27, 48, 25, 2,
-              29, 38, 18, 11, 24, 40, 23, 3, 22, 45, 44, 32, 35, 47, 26]),
         )
         for name, got, want in known:
             assert got == want, _stream_note(name)
 
 
-def _raw_and_choice(n, m, rows, seed=5):
-    """Per row: the raw words choice(n, m) reads, and the set it picks."""
-    k = (m - (m == n) + 1) // 2
-    words = np.empty((rows, k), dtype=np.uint64)
-    picked = []
-    for r in range(rows):
-        stream = RandomStream(seed, f"busy/{n}/{m}", r)
-        words[r] = stream.rng().bit_generator.random_raw(k)
-        picked.append(sorted(stream.rng().choice(n, m, replace=False).tolist()))
-    return words, picked
+def _busy_words(n, rows, seed=5):
+    """The first n raw words of each of ``rows`` substreams, as a (rows, n) array."""
+    stream = RandomStream(seed, f"busy/{n}")
+    return np.array([rng.bit_generator.random_raw(n) for rng in stream.rngs(range(rows))])
 
 
-class TestDecodeBusy:
+class TestBusyMask:
     @pytest.mark.parametrize("n, m", [
-        (50, 30), (50, 31), (50, 50), (50, 1), (2, 2), (1, 1), (7, 7),
-        (200, 150), (5_000, 2_500), (10_000, 9_000), (20_000, 300),
+        (50, 30), (50, 50), (50, 1), (1, 1), (2, 2), (10_001, 9_000), (20_000, 300),
     ])
-    def test_matches_choice(self, n, m):
-        assert busy_decodable(n, m)
-        words, picked = _raw_and_choice(n, m, rows=6)
-        chosen, flagged = decode_busy(words, n, m)
-        assert chosen.shape == (6, m) and not flagged.any()
-        assert [sorted(row) for row in chosen.tolist()] == picked
+    def test_matches_the_sort_oracle(self, n, m):
+        words = _busy_words(n, rows=3)
+        block = busy_mask(words, m)
+        assert block.dtype == bool and block.shape == (3, n)
+        for row, w in zip(block, words):
+            want = _oracle_busy(w.tolist(), m)
+            assert set(np.flatnonzero(row).tolist()) == want
+            assert busy_mask(w, m).tobytes() == row.tobytes()
 
-    @pytest.mark.parametrize("n, m", [(10_001, 9_000), (20_000, 5_000)])
-    def test_tail_shuffle_is_refused(self, n, m):
-        # numpy shuffles the tail of arange(n) here, which the decode does not follow
-        assert not busy_decodable(n, m)
-        words, picked = _raw_and_choice(n, m, rows=3)
-        chosen = decode_busy(words, n, m)[0]
-        assert all(sorted(row) != want for row, want in zip(chosen.tolist(), picked))
+    def test_ties_go_to_the_lower_index(self):
+        words = np.array([7, 3, 9, 3, 3], dtype=np.uint64)
+        assert busy_mask(words, 1).tolist() == [False, True, False, False, False]
+        assert busy_mask(words, 2).tolist() == [False, True, False, True, False]
+        flat = np.zeros((2, 4), dtype=np.uint64)
+        assert busy_mask(flat, 2).tolist() == [[True, True, False, False]] * 2
 
-    def test_refused_outside_32_bit_draws_and_empty_sets(self):
-        assert busy_decodable(2 ** 32 - 1, 2) and not busy_decodable(2 ** 32, 2)
-        assert not busy_decodable(50, 0) and not busy_decodable(5, 6)
-
-    def test_every_rejection_is_flagged(self):
-        # at j + 1 = 2**31 + 1 about half the draws are rejected and redrawn
-        n, m = 2 ** 31 + 1, 2
-        words, picked = _raw_and_choice(n, m, rows=64)
-        chosen, flagged = decode_busy(words, n, m)
-        rejected = []
-        for (word,) in words.tolist():
-            halves = (word & 0xFFFFFFFF, word >> 32)
-            rejected.append(any((u * (j + 1)) % 2 ** 32 < 2 ** 32 % (j + 1)
-                                for u, j in zip(halves, range(n - m, n))))
-        assert 0 < sum(rejected) < 64 and not flagged.all()
-        for row, want, flag, rejects in zip(chosen.tolist(), picked, flagged, rejected):
-            assert flag or not rejects
-            if not flag:
-                assert sorted(row) == want
+    def test_every_subset_is_equally_likely(self):
+        # 2 of 5 stations from 20 000 substreams: each of the 10 subsets is
+        # expected 2 000 times. With 9 degrees of freedom a uniform draw
+        # exceeds 33.72 with probability 1e-4.
+        n, m, rows = 5, 2, 20_000
+        mask = busy_mask(_busy_words(n, rows, seed=42), m)
+        code = mask @ (1 << np.arange(n))
+        counts = np.bincount(code, minlength=2 ** n)
+        subsets = [sum(1 << b for b in pair) for pair in itertools.combinations(range(n), m)]
+        assert counts.sum() == counts[subsets].sum() == rows
+        expected = rows / len(subsets)
+        chi2 = float(np.sum((counts[subsets] - expected) ** 2 / expected))
+        assert chi2 < 33.72, chi2
 
 
 class TestNearestCandidates:
